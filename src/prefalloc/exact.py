@@ -1,16 +1,36 @@
 """Exhaustive reference solvers.
 
-These enumerate every partial allocation (each item goes to one desiring
-agent or to nobody), so they are exponential and guarded by a search-space
-limit.  They exist as ground truth: the polynomial solvers are tested
-against them, and the dispatcher falls back to them on small instances
-that fit no special structure.
+These search the space of all partial allocations (each item goes to
+one desiring agent or to nobody), so they are exponential and guarded by
+a search-space limit.  They exist as ground truth: the polynomial
+solvers are tested against them, and the dispatcher falls back to them
+on small instances that fit no special structure.
 
 Witness convention: items are scanned in sorted order and, per item, the
 options are "nobody" first and then desiring agents in sorted order.  The
 first optimum in that depth-first order is returned, which pins the
 witness down deterministically (the lexicographically least option
 vector among optimal allocations).
+
+`minimize` is a branch and bound over that scan.  Two rules cut it down
+without moving the witness:
+
+* Suffix-union bound.  From item j on, agent a can at best gain every
+  item of the union of its reach masks over items j..n-1 that it does not
+  already reach.  Subtracting that from its current dissatisfaction gives
+  a lower bound per agent; their sum (or max) bounds the objective, and a
+  node whose bound is at least the incumbent is cut.  Cutting at ">="
+  keeps the first optimum: every node on its path has a bound no larger
+  than the optimum, which is below every incumbent found before it.
+* Zero-gain skip.  Giving item j to an agent that already reaches all of
+  it leaves the search state exactly as in the "nobody" branch, which is
+  searched first.  Every leaf of the skipped branch has an equal-valued
+  twin earlier in scan order, which was either visited or cut by the
+  bound; either way the incumbent is already no worse, and only a
+  strictly lower value replaces it.  So no skipped leaf is the first
+  optimum or could have been returned.
+  `all_profiles` uses the same skip: the twin leaves give the same
+  profiles.
 """
 
 from __future__ import annotations
@@ -65,20 +85,26 @@ def _guard(inst: Instance, limit: int | None) -> None:
 def _prepare(inst: Instance):
     items = inst.items
     agents = inst.agents
-    desiring: list[tuple[int, ...]] = []
-    reach: list[dict[int, int]] = []  # per item: agent index -> reach mask
+    # Per item: desiring agent index -> reach mask, in agent order.
+    reach: list[dict[int, int]] = []
     for v in items:
-        ds = []
         rs = {}
         for ai, a in enumerate(agents):
             g = inst.graphs[a]
             if v in g.items:
-                ds.append(ai)
                 rs[ai] = g.reach_mask(v)
-        desiring.append(tuple(ds))
         reach.append(rs)
     sizes = [len(inst.graphs[a].items) for a in agents]
-    return items, agents, desiring, reach, sizes
+    return items, agents, reach, sizes
+
+
+def _suffix_unions(reach: list[dict[int, int]], n: int, k: int) -> list[list[int]]:
+    """suffix[ai][j]: union of agent ai's reach masks over items j..n-1."""
+    suffix = [[0] * (n + 1) for _ in range(k)]
+    for j in range(n - 1, -1, -1):
+        for ai in range(k):
+            suffix[ai][j] = suffix[ai][j + 1] | reach[j].get(ai, 0)
+    return suffix
 
 
 def _to_allocation(inst: Instance, assign: list[int | None]) -> Allocation:
@@ -99,16 +125,10 @@ def minimize(
     if objective not in ("sum", "max"):
         raise ValueError(f"unknown objective {objective!r}")
     _guard(inst, limit)
-    items, agents, desiring, reach, sizes = _prepare(inst)
+    items, agents, reach, sizes = _prepare(inst)
     n = len(items)
     k = len(agents)
-
-    # pot[ai][j] bounds how much agent ai's dissatisfaction can still drop
-    # using items j..n-1 (sum of reach sizes, an overcount).
-    pot = [[0] * (n + 1) for _ in range(k)]
-    for j in range(n - 1, -1, -1):
-        for ai in range(k):
-            pot[ai][j] = pot[ai][j + 1] + reach[j].get(ai, 0).bit_count()
+    suffix = _suffix_unions(reach, n, k)
 
     masks = [0] * k
     dissat = sizes[:]
@@ -117,11 +137,19 @@ def minimize(
     best_assign: list[int | None] | None = None
     leaves = 0
 
-    def bound(j: int) -> int:
-        # Lower bound on the final objective from this node.
+    def pruned(j: int) -> bool:
+        # True when no completion from this node can beat the incumbent.
+        # Agent ai ends with at least sizes[ai] - |masks[ai] | suffix[ai][j]|
+        # dissatisfaction (dissat[ai] is sizes[ai] - |masks[ai]|).
         if objective == "sum":
-            return sum(dissat) - sum(pot[ai][j] for ai in range(k))
-        return max(dissat[ai] - pot[ai][j] for ai in range(k)) if k else 0
+            low = 0
+            for ai in range(k):
+                low += sizes[ai] - (masks[ai] | suffix[ai][j]).bit_count()
+            return low >= best_value
+        for ai in range(k):
+            if sizes[ai] - (masks[ai] | suffix[ai][j]).bit_count() >= best_value:
+                return True
+        return False
 
     def dfs(j: int) -> None:
         nonlocal best_value, best_assign, leaves
@@ -132,12 +160,14 @@ def minimize(
                 best_value = value
                 best_assign = assign[:]
             return
-        if best_value is not None and bound(j) >= best_value:
+        if best_value is not None and pruned(j):
             return
         dfs(j + 1)  # leave item j unassigned
-        for ai in desiring[j]:
+        for ai, r in reach[j].items():
             old_mask = masks[ai]
-            new_mask = old_mask | reach[j][ai]
+            new_mask = old_mask | r
+            if new_mask == old_mask:
+                continue  # same state as the "nobody" branch already searched
             gained = (new_mask ^ old_mask).bit_count()
             masks[ai] = new_mask
             dissat[ai] -= gained
@@ -155,7 +185,7 @@ def minimize(
 def all_profiles(inst: Instance, limit: int | None = None) -> frozenset[tuple[int, ...]]:
     """Every dissatisfaction profile any partial allocation can realize."""
     _guard(inst, limit)
-    items, agents, desiring, reach, sizes = _prepare(inst)
+    items, agents, reach, sizes = _prepare(inst)
     n = len(items)
     k = len(agents)
     masks = [0] * k
@@ -167,9 +197,11 @@ def all_profiles(inst: Instance, limit: int | None = None) -> frozenset[tuple[in
             out.add(tuple(dissat))
             return
         dfs(j + 1)
-        for ai in desiring[j]:
+        for ai, r in reach[j].items():
             old_mask = masks[ai]
-            new_mask = old_mask | reach[j][ai]
+            new_mask = old_mask | r
+            if new_mask == old_mask:
+                continue  # same profiles as the "nobody" branch
             gained = (new_mask ^ old_mask).bit_count()
             masks[ai] = new_mask
             dissat[ai] -= gained

@@ -120,14 +120,34 @@ def hopcroft_karp(
                     queue.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = inf
+    def dfs(root: int) -> bool:
+        # Augmenting-path search along the BFS layers, with an explicit
+        # stack so path length is not bounded by the recursion limit.
+        # via[f] is the right vertex leading from path[f] to path[f + 1].
+        path = [root]
+        todo = [iter(adj[root])]
+        via: list[int] = []
+        while path:
+            u = path[-1]
+            for v in todo[-1]:
+                w = match_r[v]
+                if w == -1:
+                    via.append(v)
+                    for x, y in zip(path, via):
+                        match_l[x] = y
+                        match_r[y] = x
+                    return True
+                if dist[w] == dist[u] + 1:
+                    via.append(v)
+                    path.append(w)
+                    todo.append(iter(adj[w]))
+                    break
+            else:
+                dist[u] = inf  # dead end for the rest of this phase
+                path.pop()
+                todo.pop()
+                if via:
+                    via.pop()
         return False
 
     size = 0

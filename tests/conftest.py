@@ -18,11 +18,12 @@ def instance(graphs: dict) -> Instance:
     return Instance.build(pool, graphs, warn_dropped=False)
 
 
-def brute_minimum(inst: Instance, objective: str) -> int:
-    """Plain exhaustive minimum, written independently of the solvers.
+def scan_first_optimum(inst: Instance, objective: str) -> tuple[int, Allocation]:
+    """Value and first optimal allocation of a plain ordered scan.
 
-    Enumerates every partial allocation item by item; only usable on
-    tiny instances.
+    Written independently of the solvers; only usable on tiny instances.
+    Scan order: items in sorted order, each item tried unassigned first,
+    then given to desiring agents in sorted order.
     """
     options = []
     for v in inst.items:
@@ -33,11 +34,17 @@ def brute_minimum(inst: Instance, objective: str) -> int:
         for v, a in zip(inst.items, combo):
             if a is not None:
                 bundles.setdefault(a, set()).add(v)
-        prof = profile(inst, Allocation.of(bundles))
+        alloc = Allocation.of(bundles)
+        prof = profile(inst, alloc)
         val = prof.total if objective == "sum" else prof.maximum
-        if best is None or val < best:
-            best = val
+        if best is None or val < best[0]:
+            best = (val, alloc)
     return best
+
+
+def brute_minimum(inst: Instance, objective: str) -> int:
+    """Plain exhaustive minimum, by the ordered scan above."""
+    return scan_first_optimum(inst, objective)[0]
 
 
 def brute_profiles(inst: Instance) -> set:

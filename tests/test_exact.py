@@ -1,15 +1,14 @@
 """Exhaustive oracle: optimality, determinism, profile sets, size guard."""
 
-import itertools
 import random
 
 import pytest
 
-from prefalloc.core import Allocation, SizeGuardError, profile, validate_allocation
+from prefalloc.core import SizeGuardError, profile, validate_allocation
 from prefalloc.exact import all_profiles, decide, minimize, search_space
-from prefalloc import randgen
+from prefalloc import randgen, reductions
 
-from conftest import brute_minimum, brute_profiles, graph, instance
+from conftest import brute_minimum, brute_profiles, graph, instance, scan_first_optimum
 
 
 def test_worked_example_minimums(worked):
@@ -76,27 +75,37 @@ def test_repeated_runs_return_identical_witnesses(worked):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_witness_is_first_optimum_in_scan_order(seed):
-    """The reported witness is the one a plain ordered scan finds first.
-
-    Scan order: items in sorted order, each item tried unassigned first,
-    then given to desiring agents in sorted order.
-    """
+    """The reported value and witness are those a plain ordered scan finds first."""
     rng = random.Random(70 + seed)
-    inst = randgen.random_instance(rng, "dag", rng.randint(2, 5), 2)
-    res = minimize(inst, "sum")
-    options = [
-        [None] + [a for a in inst.agents if v in inst.graphs[a].items]
-        for v in inst.items
+    for agents, low, high in ((2, 2, 5), (3, 6, 7)):
+        inst = randgen.random_instance(rng, "dag", rng.randint(low, high), agents)
+        for objective in ("sum", "max"):
+            res = minimize(inst, objective)
+            assert (res.value, res.witness) == scan_first_optimum(inst, objective)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_gadget_witness_is_first_optimum_in_scan_order(seed):
+    """Two-agent 3-CNF gadgets under max, where the bound cuts most of the scan."""
+    rng = random.Random(90 + seed)
+    clauses = [
+        tuple(rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(3))
+        for _ in range(rng.randint(1, 2))
     ]
-    for combo in itertools.product(*options):
-        bundles: dict = {}
-        for v, a in zip(inst.items, combo):
-            if a is not None:
-                bundles.setdefault(a, set()).add(v)
-        alloc = Allocation.of(bundles)
-        if profile(inst, alloc).total == res.value:
-            assert alloc == res.witness
-            break
+    inst, _, _ = reductions.gen_two_agents_sat(reductions.Cnf3Formula(2, clauses))
+    res = minimize(inst, "max")
+    assert (res.value, res.witness) == scan_first_optimum(inst, "max")
+
+
+def test_gadget_leaf_count_regression():
+    # A satisfiable 3-variable, 3-clause gadget: 3^12 = 531441 leaves
+    # unpruned.  Summing reach sizes as the bound visited 12816 of them;
+    # the suffix-union bound with the zero-gain skip visits 447.
+    formula = reductions.Cnf3Formula(3, ((1, 2, 3), (-1, -2, 3), (1, -2, -3)))
+    inst, _, threshold = reductions.gen_two_agents_sat(formula)
+    res = minimize(inst, "max")
+    assert res.value == threshold
+    assert res.leaves <= 447
 
 
 class TestDecide:

@@ -95,6 +95,15 @@ class TestHopcroftKarp:
         assert size == 1
         assert match_l.count(-1) == 1
 
+    def test_long_augmenting_path_does_not_recurse(self):
+        # The first phase matches i -> i+1 greedily and strands the last
+        # vertex; its augmenting path then runs through all 3000 vertices.
+        n = 3000
+        adj = [[i + 1, i] if i + 1 < n else [i] for i in range(n)]
+        size, match_l = hopcroft_karp(n, n, adj)
+        assert size == n
+        assert match_l == list(range(n))
+
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_brute_force(self, seed):
         rng = random.Random(200 + seed)
