@@ -1,15 +1,23 @@
-"""Structural classification of preference graphs.
+"""Structural classification of preference graphs, and solver routing.
 
 Solvers specialize on graph shape, so each graph is tagged with the most
 specific class it belongs to.  Classes are predicates, not a partition:
 a single vertex is simultaneously an out-star, a path, and more.  The
 `graph_class` function returns the most specific label under a fixed
 priority, while the `is_*` predicates answer individual membership.
+
+`ROUTES` is the route table: per exact polynomial solver, the objective
+it minimizes, the class every agent's graph must have, the agent count
+it needs, the reason `dispatch` reports, and the solver's (module,
+function).  `dispatch` takes the first entry that fits; the general-DAG
+entry, `minsum-junctions`, also needs few junction vertices.  What no
+entry fits goes to the exhaustive oracle, within its size guard.
 """
 
 from __future__ import annotations
 
 import enum
+import importlib
 from dataclasses import dataclass
 
 from .core import Instance, PreconditionError, PreferenceGraph
@@ -118,6 +126,9 @@ _PRIORITY = (
 )
 
 
+_PREDICATES = dict(_PRIORITY)
+
+
 def graph_class(g: PreferenceGraph) -> GraphClass:
     """Most specific class label for a single graph."""
     for label, pred in _PRIORITY:
@@ -148,10 +159,13 @@ def instance_class(inst: Instance) -> GraphClass:
 
 
 def all_graphs_are(inst: Instance, label: GraphClass) -> bool:
-    if label is GraphClass.GENERAL_DAG:
-        return True
-    pred = dict(_PRIORITY)[label]
-    return all(pred(inst.graphs[a]) for a in inst.agents)
+    return label is GraphClass.GENERAL_DAG or misfit_agent(inst, label) is None
+
+
+def misfit_agent(inst: Instance, label: GraphClass) -> str | None:
+    """First agent, in sorted order, whose graph is not of the class."""
+    pred = _PREDICATES[label]
+    return next((a for a in inst.agents if not pred(inst.graphs[a])), None)
 
 
 # -- junction vertices ---------------------------------------------------
@@ -197,6 +211,50 @@ class SolverChoice:
     reason: str
 
 
+@dataclass(frozen=True)
+class Route:
+    """One exact polynomial route: when it applies and which solver runs."""
+
+    name: str
+    objective: str
+    shape: GraphClass  # every agent's graph must have this class
+    agents: int | None  # required agent count, None for any
+    reason: str
+    solver: tuple[str, str]  # (module, function) within the package
+
+    def fits(self, inst: Instance) -> bool:
+        if self.agents is not None and inst.num_agents != self.agents:
+            return False
+        return all_graphs_are(inst, self.shape)
+
+    def solve(self, inst: Instance):
+        # Looked up on the module at call time: the solver modules import
+        # this one, and tracers replace solvers in place on their modules.
+        module, function = self.solver
+        return getattr(importlib.import_module(f"{__package__}.{module}"), function)(inst)
+
+
+#: Routes in dispatch order.  The general-DAG entry is the junction FPT
+#: solver, bounded by the junction count rather than by shape; its reason
+#: is filled in with that count and the limit.
+ROUTES = (
+    Route("minsum-matchings", "sum", GraphClass.DIRECTED_MATCHING, None,
+          "every graph is a directed matching", ("polyalgos", "minsum_directed_matchings")),
+    Route("minsum-paths", "sum", GraphClass.PATH, None,
+          "every graph is a single path", ("polyalgos", "minsum_paths")),
+    Route("minsum-disjoint-paths", "sum", GraphClass.DISJOINT_PATHS, None,
+          "every graph is a union of disjoint paths", ("polyalgos", "minsum_disjoint_paths")),
+    Route("minsum-two-star-forests", "sum", GraphClass.UNION_OUT_STARS, 2,
+          "two agents, every graph a union of out-stars", ("polyalgos", "minsum_two_star_forests")),
+    Route("minsum-junctions", "sum", GraphClass.GENERAL_DAG, None,
+          "gamma = {gamma} <= {gamma_limit}", ("junction", "minsum_few_junctions")),
+    Route("minmax-paths", "max", GraphClass.PATH, None,
+          "every graph is a single path", ("polyalgos", "minmax_paths")),
+    Route("minmax-two-matchings", "max", GraphClass.DIRECTED_MATCHING, 2,
+          "two agents, every graph a directed matching", ("polyalgos", "minmax_two_matchings")),
+)
+
+
 def dispatch(
     inst: Instance,
     objective: str,
@@ -206,43 +264,25 @@ def dispatch(
 ) -> SolverChoice:
     """Pick the best solver for the instance shape and objective.
 
-    Every polynomial route requires the shape that makes it exact; in
-    particular the max objective never routes path forests to the
-    bottleneck-assignment solver (only single paths per agent are safe).
-    Falls back to the exhaustive oracle when it fits the size guard,
-    else reports "oracle-too-large".
+    Takes the first entry of `ROUTES` for the objective whose shape and
+    agent count fit; in particular the max objective never routes path
+    forests to the bottleneck-assignment solver (only single paths per
+    agent are safe).  Falls back to the exhaustive oracle when it fits
+    the size guard, else reports "oracle-too-large".
     """
     from . import exact
 
     if objective not in ("sum", "max"):
         raise PreconditionError(f"unknown objective {objective!r}")
-    if objective == "sum":
-        if all_graphs_are(inst, GraphClass.DIRECTED_MATCHING):
-            return SolverChoice("minsum-matchings", "every graph is a directed matching")
-        if all_graphs_are(inst, GraphClass.PATH):
-            return SolverChoice("minsum-paths", "every graph is a single path")
-        if all_graphs_are(inst, GraphClass.DISJOINT_PATHS):
-            return SolverChoice(
-                "minsum-disjoint-paths", "every graph is a union of disjoint paths"
-            )
-        if inst.num_agents == 2 and all_graphs_are(inst, GraphClass.UNION_OUT_STARS):
-            return SolverChoice(
-                "minsum-two-star-forests",
-                "two agents, every graph a union of out-stars",
-            )
+    for route in ROUTES:
+        if route.objective != objective or not route.fits(inst):
+            continue
+        if route.shape is not GraphClass.GENERAL_DAG:
+            return SolverChoice(route.name, route.reason)
         gamma = junction_count(inst)
         if gamma <= gamma_limit:
             return SolverChoice(
-                "minsum-junctions", f"gamma = {gamma} <= {gamma_limit}"
-            )
-    else:
-        if all_graphs_are(inst, GraphClass.PATH):
-            return SolverChoice("minmax-paths", "every graph is a single path")
-        if inst.num_agents == 2 and all_graphs_are(
-            inst, GraphClass.DIRECTED_MATCHING
-        ):
-            return SolverChoice(
-                "minmax-two-matchings", "two agents, every graph a directed matching"
+                route.name, route.reason.format(gamma=gamma, gamma_limit=gamma_limit)
             )
     space = exact.search_space(inst)
     limit = exact._effective_limit(oracle_limit)

@@ -14,7 +14,7 @@ import random
 import sys
 import time
 
-from . import classify, exact, junction, polyalgos, randgen, reductions
+from . import classify, exact, randgen, reductions
 from .core import (
     Allocation,
     Instance,
@@ -35,18 +35,8 @@ EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_TOO_LARGE = 4
 
-# Forceable solver names, keyed by the objective each one minimizes.
-SUM_SOLVERS = {
-    "minsum-matchings": polyalgos.minsum_directed_matchings,
-    "minsum-paths": polyalgos.minsum_paths,
-    "minsum-disjoint-paths": polyalgos.minsum_disjoint_paths,
-    "minsum-two-star-forests": polyalgos.minsum_two_star_forests,
-    "minsum-junctions": junction.minsum_few_junctions,
-}
-MAX_SOLVERS = {
-    "minmax-paths": polyalgos.minmax_paths,
-    "minmax-two-matchings": polyalgos.minmax_two_matchings,
-}
+# Forceable solver names besides "oracle" and "auto".
+_ROUTES = {route.name: route for route in classify.ROUTES}
 
 # generate --reduction name -> (source parser, generator, objectives)
 REDUCTIONS = {
@@ -101,17 +91,6 @@ def _alloc_payload(alloc: Allocation) -> dict:
     return {agent: sorted(items) for agent, items in alloc.pairs}
 
 
-def _run_solver(inst: Instance, objective: str, name: str):
-    """Invoke one registered solver and return its (value, witness)."""
-    if name == "oracle":
-        res = exact.minimize(inst, objective)
-    elif objective == "sum":
-        res = SUM_SOLVERS[name](inst)
-    else:
-        res = MAX_SOLVERS[name](inst)
-    return res.value, res.witness
-
-
 def _pick_algorithm(inst: Instance, objective: str, requested: str) -> tuple[str, str]:
     if requested == "auto":
         choice = classify.dispatch(inst, objective)
@@ -120,16 +99,15 @@ def _pick_algorithm(inst: Instance, objective: str, requested: str) -> tuple[str
         return choice.name, choice.reason
     if requested == "oracle":
         return "oracle", "forced by --algorithm"
-    table = SUM_SOLVERS if objective == "sum" else MAX_SOLVERS
-    if requested in table:
-        return requested, "forced by --algorithm"
-    other = MAX_SOLVERS if objective == "sum" else SUM_SOLVERS
-    if requested in other:
+    route = _ROUTES.get(requested)
+    if route is None:
+        raise _CliError(EXIT_UNSUPPORTED, f"unknown algorithm {requested!r}")
+    if route.objective != objective:
         raise _CliError(
             EXIT_UNSUPPORTED,
             f"algorithm {requested!r} does not minimize objective {objective!r}",
         )
-    raise _CliError(EXIT_UNSUPPORTED, f"unknown algorithm {requested!r}")
+    return requested, "forced by --algorithm"
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -137,12 +115,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
     name, reason = _pick_algorithm(inst, args.objective, args.algorithm)
     started = time.perf_counter()
     try:
-        value, witness = _run_solver(inst, args.objective, name)
+        if name == "oracle":
+            res = exact.minimize(inst, args.objective)
+        else:
+            res = _ROUTES[name].solve(inst)
     except SizeGuardError as exc:
         raise _CliError(EXIT_TOO_LARGE, str(exc)) from None
     except PreconditionError as exc:
         raise _CliError(EXIT_UNSUPPORTED, f"{name}: {exc}") from None
     elapsed = time.perf_counter() - started
+    value, witness = res.value, res.witness
 
     # Recompute the objective from the witness so the report can never
     # drift from the allocation it carries.

@@ -82,32 +82,29 @@ class PreferenceGraph:
         arcs = frozenset(tuple(a) for a in self.arcs)
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "arcs", arcs)
-        for tail, head in sorted(arcs):
-            if tail == head:
-                raise ParseError(f"self-loop on item {tail!r}")
-            if tail not in items or head not in items:
-                raise ParseError(f"arc ({tail!r}, {head!r}) uses an unknown item")
         order = tuple(sorted(items))
         index = {v: i for i, v in enumerate(order)}
         out = {v: [] for v in order}
         inn = {v: [] for v in order}
         for tail, head in sorted(arcs):
+            if tail == head:
+                raise ParseError(f"self-loop on item {tail!r}")
+            if tail not in items or head not in items:
+                raise ParseError(f"arc ({tail!r}, {head!r}) uses an unknown item")
             out[tail].append(head)
             inn[head].append(tail)
-        # Kahn's algorithm; leftovers mean a cycle.
+        # Kahn's algorithm; leftovers mean a cycle.  Any topological order
+        # gives the same closures, so a plain stack will do.
         indeg = {v: len(inn[v]) for v in order}
-        queue = sorted(v for v in order if indeg[v] == 0)
+        stack = [v for v in order if indeg[v] == 0]
         topo = []
-        while queue:
-            v = queue.pop(0)
+        while stack:
+            v = stack.pop()
             topo.append(v)
-            added = []
             for w in out[v]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
-                    added.append(w)
-            if added:
-                queue = sorted(queue + added)
+                    stack.append(w)
         if len(topo) != len(order):
             stuck = sorted(v for v in order if indeg[v] > 0)
             raise ParseError(f"graph is not acyclic (cycle through {stuck[:4]})")
@@ -177,11 +174,7 @@ class PreferenceGraph:
 
     def dominated_set(self, assigned: Iterable[ItemId]) -> frozenset[ItemId]:
         """Items covered by `assigned`: the set itself plus everything reachable."""
-        mask = 0
-        for v in assigned:
-            self._check(v)
-            mask |= self._reach[v]
-        return self._mask_to_set(mask)
+        return self._mask_to_set(self.dominated_mask(assigned))
 
     def dominated_mask(self, assigned: Iterable[ItemId]) -> int:
         mask = 0
@@ -250,15 +243,16 @@ class Instance:
         desired = set()
         for g in graphs.values():
             desired |= g.items
+        inst = cls(tuple(sorted(items & desired)), tuple(sorted(graphs)), dict(graphs))
         dropped = items - desired
-        if dropped and warn_dropped:
+        if dropped and warn_dropped:  # only once the instance is valid
             warnings.warn(
                 f"dropping {len(dropped)} item(s) desired by no agent: "
                 f"{sorted(dropped)[:6]}",
                 NormalizationWarning,
                 stacklevel=2,
             )
-        return cls(tuple(sorted(items & desired)), tuple(sorted(graphs)), dict(graphs))
+        return inst
 
     def graph(self, agent: AgentId) -> PreferenceGraph:
         try:
@@ -354,6 +348,7 @@ def validate_allocation(inst: Instance, alloc: Allocation) -> list[str]:
     disjoint, and each agent only holds items appearing in its own graph.
     """
     violations = []
+    pool = set(inst.items)
     seen: dict[ItemId, AgentId] = {}
     for agent, items in alloc.pairs:
         if agent not in inst.graphs:
@@ -361,7 +356,7 @@ def validate_allocation(inst: Instance, alloc: Allocation) -> list[str]:
             continue
         g = inst.graphs[agent]
         for v in sorted(items):
-            if v not in set(inst.items):
+            if v not in pool:
                 violations.append(f"unknown item {v!r} (agent {agent!r})")
             elif v not in g.items:
                 violations.append(
@@ -412,12 +407,24 @@ def _expect(cond: bool, message: str, location: str):
         raise ParseError(message, location)
 
 
+def _expect_unique(values: list, what: str, location: str):
+    if len(set(values)) != len(values):
+        seen = set()
+        for v in values:
+            if v in seen:
+                raise ParseError(f"duplicate {what} {v!r}", location)
+            seen.add(v)
+
+
 def parse_instance(text: str | bytes) -> Instance:
     """Parse the instance interchange format.
 
     Shape: {"items": [...], "agents": [{"id": ..., "items": [...],
     "arcs": [[tail, head], ...]}, ...]}.  Items desired by no agent are
-    dropped with a NormalizationWarning.
+    dropped with a NormalizationWarning.  Only the document's shape and
+    the duplicates that sets would silently merge are checked here;
+    unknown items, arc endpoints, self-loops and cycles are rejected by
+    `PreferenceGraph` and `Instance`.
     """
     try:
         data = json.loads(text)
@@ -426,13 +433,12 @@ def parse_instance(text: str | bytes) -> Instance:
     _expect(isinstance(data, dict), "top level must be an object", "$")
     _expect("items" in data, 'missing "items"', "$")
     _expect("agents" in data, 'missing "agents"', "$")
-    raw_items = data["items"]
-    _expect(isinstance(raw_items, list), '"items" must be an array', "items")
-    items = []
-    for i, v in enumerate(raw_items):
-        _expect(isinstance(v, str) and v, "item ids must be non-empty strings", f"items[{i}]")
-        items.append(v)
-    _expect(len(set(items)) == len(items), "duplicate item ids", "items")
+    items = data["items"]
+    _expect(isinstance(items, list), '"items" must be an array', "items")
+    for i, v in enumerate(items):
+        if not (isinstance(v, str) and v):
+            raise ParseError("item ids must be non-empty strings", f"items[{i}]")
+    _expect_unique(items, "item id", "items")
     raw_agents = data["agents"]
     _expect(isinstance(raw_agents, list), '"agents" must be an array', "agents")
     graphs: dict[str, PreferenceGraph] = {}
@@ -446,26 +452,20 @@ def parse_instance(text: str | bytes) -> Instance:
         aitems = entry.get("items", [])
         _expect(isinstance(aitems, list), '"items" must be an array', f"{loc}.items")
         for j, v in enumerate(aitems):
-            _expect(isinstance(v, str), "item ids must be strings", f"{loc}.items[{j}]")
-            _expect(v in set(items), f"unknown item {v!r}", f"{loc}.items[{j}]")
-        _expect(
-            len(set(aitems)) == len(aitems), "duplicate items in agent graph", f"{loc}.items"
-        )
-        arcs = []
+            if not isinstance(v, str):
+                raise ParseError("item ids must be strings", f"{loc}.items[{j}]")
+        _expect_unique(aitems, "item", f"{loc}.items")
         raw_arcs = entry.get("arcs", [])
         _expect(isinstance(raw_arcs, list), '"arcs" must be an array', f"{loc}.arcs")
+        arcs = []
         for j, arc in enumerate(raw_arcs):
-            aloc = f"{loc}.arcs[{j}]"
-            _expect(
-                isinstance(arc, list) and len(arc) == 2, "arcs must be [tail, head] pairs", aloc
-            )
+            if not (isinstance(arc, list) and len(arc) == 2):
+                raise ParseError("arcs must be [tail, head] pairs", f"{loc}.arcs[{j}]")
             tail, head = arc
-            _expect(isinstance(tail, str) and isinstance(head, str), "arc ends must be strings", aloc)
-            _expect(tail in set(aitems), f"arc tail {tail!r} not in agent items", aloc)
-            _expect(head in set(aitems), f"arc head {head!r} not in agent items", aloc)
-            _expect(tail != head, "self-loops are not allowed", aloc)
+            if not (isinstance(tail, str) and isinstance(head, str)):
+                raise ParseError("arc ends must be strings", f"{loc}.arcs[{j}]")
             arcs.append((tail, head))
-        _expect(len(set(arcs)) == len(arcs), "duplicate arcs", f"{loc}.arcs")
+        _expect_unique(arcs, "arc", f"{loc}.arcs")
         try:
             graphs[aid] = PreferenceGraph(frozenset(aitems), frozenset(arcs))
         except ParseError as e:

@@ -272,7 +272,6 @@ class Dinic:
 
     def max_flow(self, s: int, t: int) -> int:
         total = 0
-        inf = sum(self.caps) + 1
         while True:
             level = [-1] * self.n
             level[s] = 0
@@ -286,28 +285,35 @@ class Dinic:
                         queue.append(v)
             if level[t] == -1:
                 return total
+            # Blocking flow along current arcs of the level graph, with an
+            # explicit path of edge ids instead of recursion.
             it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
+            path: list[int] = []
+            u = s
+            while True:
                 if u == t:
-                    return pushed
-                while it[u] < len(self.adj[u]):
-                    eid = self.adj[u][it[u]]
+                    pushed = min(self.edges[eid][1] for eid in path)
+                    for eid in path:
+                        self.edges[eid][1] -= pushed
+                        self.edges[eid ^ 1][1] += pushed
+                    total += pushed
+                    path.clear()
+                    u = s
+                    continue
+                adj = self.adj[u]
+                while it[u] < len(adj):
+                    eid = adj[it[u]]
                     v, residual = self.edges[eid]
                     if residual > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, residual))
-                        if got:
-                            self.edges[eid][1] -= got
-                            self.edges[eid ^ 1][1] += got
-                            return got
+                        path.append(eid)
+                        u = v
+                        break
                     it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, inf)
-                if not pushed:
-                    break
-                total += pushed
+                else:  # dead end: retreat one arc, or stop when s is stuck
+                    if not path:
+                        break
+                    u = self.edges[path.pop() ^ 1][0]
+                    it[u] += 1
 
     def residual_reachable(self, s: int) -> set[int]:
         seen = {s}

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import classify
+from .classify import GraphClass, misfit_agent
 from .core import Allocation, Instance, PreconditionError, profile
 from .kernels import bipartite_mwis, lbap, lsap, max_weight_matching
 
@@ -20,9 +20,22 @@ class SolveResult:
     witness: Allocation
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise PreconditionError(message)
+_SHAPE_TEXT = {
+    GraphClass.DIRECTED_MATCHING: "a directed matching",
+    GraphClass.PATH: "a single path",
+    GraphClass.DISJOINT_PATHS: "a union of disjoint paths",
+    GraphClass.UNION_OUT_STARS: "a union of out-stars",
+}
+_COUNT_TEXT = {2: "two"}
+
+
+def _require(inst: Instance, shape: GraphClass, agents: int | None = None) -> None:
+    """Raise PreconditionError unless every graph has the shape (and the agent count fits)."""
+    if agents is not None and inst.num_agents != agents:
+        raise PreconditionError(f"exactly {_COUNT_TEXT.get(agents, agents)} agents required")
+    bad = misfit_agent(inst, shape)
+    if bad is not None:
+        raise PreconditionError(f"graph of agent {bad!r} is not {_SHAPE_TEXT[shape]}")
 
 
 # -- directed matchings, minimize total dissatisfaction ----------------------
@@ -38,11 +51,7 @@ def minsum_directed_matchings(inst: Instance) -> SolveResult:
     arc ("y") blocks one of the arc's two slots, so each arc contributes
     at most one of the two takes, which keeps the count exact.
     """
-    for a in inst.agents:
-        _require(
-            classify.is_directed_matching(inst.graphs[a]),
-            f"graph of agent {a!r} is not a directed matching",
-        )
+    _require(inst, GraphClass.DIRECTED_MATCHING)
     total_items = len(inst.items)
     heavy = 2 * total_items
     left = []
@@ -71,42 +80,46 @@ def minsum_directed_matchings(inst: Instance) -> SolveResult:
 # -- single paths: assignment reductions --------------------------------------
 
 
-def _path_order(g) -> list[str]:
-    starts = [v for v in g.sorted_items if g.in_degree(v) == 0]
-    order = [starts[0]]
-    while True:
-        nxt = g.out_neighbors(order[-1])
-        if not nxt:
-            return order
-        order.append(nxt[0])
+def _path_chains(g) -> list[list[str]]:
+    """Path components of a disjoint-paths graph, by start vertex in sorted order."""
+    chains = []
+    for v in g.sorted_items:
+        if g.in_degree(v) == 0:
+            chain = [v]
+            while nxt := g.out_neighbors(chain[-1]):
+                chain.append(nxt[0])
+            chains.append(chain)
+    return chains
 
 
-def _paths_matrix(inst: Instance) -> tuple[list[list[int]], list[str]]:
-    for a in inst.agents:
-        _require(
-            classify.is_path(inst.graphs[a]),
-            f"graph of agent {a!r} is not a single path",
-        )
-    items = list(inst.items)
-    k = inst.num_agents
+def _chain_costs(chains: list[list[str]], items: list[str]) -> list[list[int]]:
+    """Assignment costs, one row per chain: an item's depth on the chain,
+    else the chain's length, plus one "receives nothing" slot per row."""
     cost = []
-    for a in inst.agents:
-        g = inst.graphs[a]
-        depth = {v: i for i, v in enumerate(_path_order(g))}
-        size = len(g.items)
+    for chain in chains:
+        depth = {v: i for i, v in enumerate(chain)}
+        size = len(chain)
         row = [depth.get(v, size) for v in items]
-        row.extend([size] * k)  # "agent receives nothing" slots
+        row.extend([size] * len(chains))
         cost.append(row)
-    return cost, items
+    return cost
 
 
-def _paths_decode(inst: Instance, cols: list[int], items: list[str]) -> Allocation:
+def _chains_decode(
+    inst: Instance, owners: list[str], cols: list[int], items: list[str]
+) -> Allocation:
     bundles: dict[str, set[str]] = {}
-    for i, a in enumerate(inst.agents):
-        j = cols[i]
+    for a, j in zip(owners, cols):
         if j < len(items) and items[j] in inst.graphs[a].items:
             bundles.setdefault(a, set()).add(items[j])
     return Allocation.of(bundles)
+
+
+def _paths_matrix(inst: Instance) -> tuple[list[list[int]], list[str]]:
+    _require(inst, GraphClass.PATH)
+    items = list(inst.items)
+    chains = [_path_chains(inst.graphs[a])[0] for a in inst.agents]
+    return _chain_costs(chains, items), items
 
 
 def minsum_paths(inst: Instance) -> SolveResult:
@@ -118,7 +131,7 @@ def minsum_paths(inst: Instance) -> SolveResult:
     """
     cost, items = _paths_matrix(inst)
     total, cols = lsap(cost)
-    alloc = _paths_decode(inst, cols, items)
+    alloc = _chains_decode(inst, inst.agents, cols, items)
     return SolveResult(total, alloc)
 
 
@@ -126,7 +139,7 @@ def minmax_paths(inst: Instance) -> SolveResult:
     """Min worst-agent dissatisfaction for single paths (bottleneck assignment)."""
     cost, items = _paths_matrix(inst)
     value, cols = lbap(cost)
-    alloc = _paths_decode(inst, cols, items)
+    alloc = _chains_decode(inst, inst.agents, cols, items)
     return SolveResult(value, alloc)
 
 
@@ -141,52 +154,17 @@ def minsum_disjoint_paths(inst: Instance) -> SolveResult:
     problem: rows are (agent, component) pairs, columns are items plus
     one "nothing" slot per row.
     """
-    rows: list[tuple[str, list[str]]] = []
-    for a in inst.agents:
-        g = inst.graphs[a]
-        _require(
-            classify.is_disjoint_paths(g),
-            f"graph of agent {a!r} is not a union of disjoint paths",
-        )
-        seen: set[str] = set()
-        for v in g.sorted_items:
-            if v in seen or g.in_degree(v) != 0:
-                continue
-            comp = [v]
-            while g.out_neighbors(comp[-1]):
-                comp.append(g.out_neighbors(comp[-1])[0])
-            seen.update(comp)
-            rows.append((a, comp))
+    _require(inst, GraphClass.DISJOINT_PATHS)
+    rows = [(a, chain) for a in inst.agents for chain in _path_chains(inst.graphs[a])]
     if not rows:
         return SolveResult(0, Allocation.empty())
     items = list(inst.items)
-    cost = []
-    for _, comp in rows:
-        depth = {v: i for i, v in enumerate(comp)}
-        size = len(comp)
-        row = [depth.get(v, size) for v in items]
-        row.extend([size] * len(rows))
-        cost.append(row)
-    total, cols = lsap(cost)
-    bundles: dict[str, set[str]] = {}
-    for r, (a, _) in enumerate(rows):
-        j = cols[r]
-        if j < len(items) and items[j] in inst.graphs[a].items:
-            bundles.setdefault(a, set()).add(items[j])
-    alloc = Allocation.of(bundles)
+    total, cols = lsap(_chain_costs([chain for _, chain in rows], items))
+    alloc = _chains_decode(inst, [a for a, _ in rows], cols, items)
     return SolveResult(profile(inst, alloc).total, alloc)
 
 
 # -- two agents with star-forest graphs ---------------------------------------
-
-
-def _star_roles(inst: Instance):
-    _require(inst.num_agents == 2, "exactly two agents required")
-    for a in inst.agents:
-        _require(
-            classify.is_union_out_stars(inst.graphs[a]),
-            f"graph of agent {a!r} is not a union of out-stars",
-        )
 
 
 def preassign_two_star_forests(inst: Instance) -> Allocation:
@@ -199,7 +177,7 @@ def preassign_two_star_forests(inst: Instance) -> Allocation:
     first claim in (agent, item) order stands; either way the leaf is
     already covered for both agents, so the value is unaffected.
     """
-    _star_roles(inst)
+    _require(inst, GraphClass.UNION_OUT_STARS, agents=2)
     a1, a2 = inst.agents
     g = {a1: inst.graphs[a1], a2: inst.graphs[a2]}
     assigned: dict[str, str] = {}
@@ -237,9 +215,8 @@ def minsum_two_star_forests(inst: Instance) -> SolveResult:
     that conflict graph is bipartite, so a max-weight independent set
     finishes the job.
     """
-    _star_roles(inst)
+    pre = preassign_two_star_forests(inst)  # checks the shape and agent count
     a1, a2 = inst.agents
-    pre = preassign_two_star_forests(inst)
     g = {a1: inst.graphs[a1], a2: inst.graphs[a2]}
     dom0 = {a: g[a].dominated_set(pre.get(a) & g[a].items) for a in (a1, a2)}
     taken = pre.assigned_items()
@@ -472,12 +449,7 @@ def _decode_component(verts, finals, tables, pair):
 
 def two_matchings_profiles(inst: Instance) -> frozenset[tuple[int, int]]:
     """Every dissatisfaction pair two matching-shaped agents can realize."""
-    _require(inst.num_agents == 2, "exactly two agents required")
-    for a in inst.agents:
-        _require(
-            classify.is_directed_matching(inst.graphs[a]),
-            f"graph of agent {a!r} is not a directed matching",
-        )
+    _require(inst, GraphClass.DIRECTED_MATCHING, agents=2)
     combined = {(0, 0)}
     for verts, edges, closing in _matching_walks(inst):
         pairs, _, _ = _component_table(inst, verts, edges, closing)
@@ -494,12 +466,7 @@ def minmax_two_matchings(inst: Instance) -> SolveResult:
     sets are then combined and the best total pair picked (smallest max,
     then lexicographic), with backpointers rebuilding a witness.
     """
-    _require(inst.num_agents == 2, "exactly two agents required")
-    for a in inst.agents:
-        _require(
-            classify.is_directed_matching(inst.graphs[a]),
-            f"graph of agent {a!r} is not a directed matching",
-        )
+    _require(inst, GraphClass.DIRECTED_MATCHING, agents=2)
     comps = _matching_walks(inst)
     infos = [
         (verts, *_component_table(inst, verts, edges, closing))

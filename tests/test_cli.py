@@ -1,9 +1,13 @@
 """Command line behavior: reports, exit codes, determinism."""
 
 import json
+import random
+import runpy
+from pathlib import Path
 
 import pytest
 
+from prefalloc import classify, randgen
 from prefalloc.cli import main
 from prefalloc.core import serialize_instance
 
@@ -249,3 +253,132 @@ class TestGenerate:
         code, out2, _ = run(capsys, "solve", "-", "--objective", "sum")
         assert code == 0
         assert json.loads(out2)["algorithm"] == "minsum-matchings"
+
+
+GOLDEN = {
+    ("sum", False): """{
+  "algorithm": "minsum-disjoint-paths",
+  "allocation": {
+    "1": [
+      "a",
+      "b",
+      "c"
+    ]
+  },
+  "max": 1,
+  "objective": "sum",
+  "profile": {
+    "1": 0,
+    "2": 1,
+    "3": 1
+  },
+  "reason": "every graph is a union of disjoint paths",
+  "sum": 2,
+  "value": 2
+}
+""",
+    ("sum", True): """objective  sum
+algorithm  minsum-disjoint-paths
+value      2
+sum        2
+max        1
+agent 1: delta 0, holds a, b, c
+agent 2: delta 1, holds -
+agent 3: delta 1, holds -
+""",
+    ("max", False): """{
+  "algorithm": "oracle",
+  "allocation": {
+    "1": [
+      "b",
+      "c"
+    ]
+  },
+  "max": 1,
+  "objective": "max",
+  "profile": {
+    "1": 1,
+    "2": 1,
+    "3": 1
+  },
+  "reason": "search space 18 within limit 10000000",
+  "sum": 3,
+  "value": 1
+}
+""",
+    ("max", True): """objective  max
+algorithm  oracle
+value      1
+sum        3
+max        1
+agent 1: delta 1, holds b, c
+agent 2: delta 1, holds -
+agent 3: delta 1, holds -
+""",
+}
+
+
+@pytest.mark.parametrize("objective,table", sorted(GOLDEN))
+def test_golden_solve_output(objective, table, worked_path, capsys, monkeypatch):
+    monkeypatch.delenv("PREFALLOC_ORACLE_LIMIT", raising=False)
+    argv = ["solve", worked_path, "--objective", objective] + (["--table"] if table else [])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == GOLDEN[(objective, table)]
+
+
+# randgen shape that produces every agent graph of a route's class
+RANDGEN_SHAPE = {
+    classify.GraphClass.DIRECTED_MATCHING: "matching",
+    classify.GraphClass.PATH: "path",
+    classify.GraphClass.DISJOINT_PATHS: "disjoint-paths",
+    classify.GraphClass.UNION_OUT_STARS: "union-out-stars",
+}
+
+
+def route_instance_path(route, tmp_path) -> str:
+    rng = random.Random(route.name)
+    agents = route.agents or 3
+    if route.shape is classify.GraphClass.GENERAL_DAG:
+        inst = randgen.junction_bounded_instance(rng, 7, agents, 3)
+    else:
+        inst = randgen.random_instance(rng, RANDGEN_SHAPE[route.shape], 7, agents)
+    assert route.fits(inst)
+    path = tmp_path / f"{route.name}.json"
+    path.write_text(serialize_instance(inst))
+    return str(path)
+
+
+@pytest.mark.parametrize("route", classify.ROUTES, ids=lambda r: r.name)
+class TestRouteTable:
+    def test_forced_route_agrees_with_auto(self, route, tmp_path, capsys):
+        path = route_instance_path(route, tmp_path)
+        argv = ("solve", path, "--objective", route.objective)
+        code, auto_out, _ = run(capsys, *argv)
+        assert code == 0
+        code, forced_out, _ = run(capsys, *argv, "--algorithm", route.name)
+        assert code == 0
+        forced = json.loads(forced_out)
+        assert forced["algorithm"] == route.name
+        assert forced["reason"] == "forced by --algorithm"
+        assert forced["value"] == json.loads(auto_out)["value"]
+
+    def test_forced_route_under_other_objective_is_unsupported(
+        self, route, tmp_path, capsys
+    ):
+        other = "max" if route.objective == "sum" else "sum"
+        path = route_instance_path(route, tmp_path)
+        code, out, err = run(
+            capsys, "solve", path, "--objective", other, "--algorithm", route.name
+        )
+        assert code == 3
+        assert out == ""
+        assert "does not minimize" in err
+
+
+def test_route_table_matches_benchmark_service():
+    """The benchmark keeps its own route map; it must name the same solvers."""
+    service = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "service.py"))
+    routes = {route.name: route.solver for route in classify.ROUTES}
+    routes["oracle"] = ("exact", "minimize")
+    assert routes == service["SOLVERS"]

@@ -1,11 +1,13 @@
 """Core data model: graphs, instances, allocations, dissatisfaction."""
 
+import copy
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prefalloc.cli import main
 from prefalloc.core import (
     Allocation,
     Instance,
@@ -185,6 +187,67 @@ class TestSerialization:
         with pytest.warns(NormalizationWarning):
             alloc = parse_allocation(text, worked, lenient=True)
         assert alloc.get("2") == {"b"}
+
+
+PARSE_BASE = {
+    "items": ["a", "b", "c"],
+    "agents": [
+        {"id": "1", "items": ["a", "b"], "arcs": [["a", "b"]]},
+        {"id": "2", "items": ["b", "c"], "arcs": []},
+    ],
+}
+
+
+def _set(path, value):
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+
+    return mutate
+
+
+# (mutation of PARSE_BASE, text the error message must contain: the
+# offending item or arc, or its location when the value has no name)
+PARSE_ERRORS = {
+    "agent-item-not-in-pool": (_set(["agents", 0, "items"], ["a", "b", "zz"]), "'zz'"),
+    "unknown-arc-tail": (_set(["agents", 0, "arcs"], [["zz", "b"]]), "'zz'"),
+    "arc-head-outside-agent": (_set(["agents", 0, "arcs"], [["a", "c"]]), "'c'"),
+    "self-loop": (_set(["agents", 0, "arcs"], [["b", "b"]]), "self-loop on item 'b'"),
+    "cycle": (_set(["agents", 0, "arcs"], [["a", "b"], ["b", "a"]]), "'a'"),
+    "duplicate-item-ids": (_set(["items"], ["a", "b", "c", "b"]), "'b'"),
+    "duplicate-agent-items": (_set(["agents", 0, "items"], ["a", "b", "a"]), "'a'"),
+    "duplicate-arcs": (_set(["agents", 0, "arcs"], [["a", "b"], ["a", "b"]]), "('a', 'b')"),
+    "duplicate-agent-ids": (_set(["agents", 1, "id"], "1"), "'1'"),
+    "non-string-arc-end": (_set(["agents", 0, "arcs"], [["a", 3]]), "agents[0].arcs[0]"),
+    "arc-not-a-pair": (_set(["agents", 0, "arcs"], [["a", "b", "c"]]), "agents[0].arcs[0]"),
+    "empty-item-id": (_set(["items"], ["a", "", "b", "c"]), "items[1]"),
+    "agent-not-an-object": (_set(["agents", 1], "2"), "agents[1]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_error_contract(case, tmp_path, capsys):
+    mutate, named = PARSE_ERRORS[case]
+    doc = copy.deepcopy(PARSE_BASE)
+    mutate(doc)
+    text = json.dumps(doc)
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert named in str(info.value)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["solve", str(path), "--objective", "sum"]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_rejected_instance_warns_about_nothing(recwarn):
+    doc = copy.deepcopy(PARSE_BASE)
+    doc["agents"][1]["items"] = ["b", "zz"]  # leaves "c" undesired as well
+    with pytest.raises(ParseError, match="'zz'"):
+        parse_instance(json.dumps(doc))
+    assert not recwarn.list
 
 
 def dags(max_items=6):

@@ -192,6 +192,13 @@ class TestDinic:
         # the bottleneck arc (1, 2) is saturated, so 1 stays reachable but 2 not
         assert net.residual_reachable(0) == {0, 1}
 
+    def test_long_augmenting_path_does_not_recurse(self):
+        n = 3000
+        net = Dinic(n)
+        arcs = [net.add_edge(i, i + 1, 1) for i in range(n - 1)]
+        assert net.max_flow(0, n - 1) == 1
+        assert all(net.flow_on(e) == 1 for e in arcs)
+
     @pytest.mark.parametrize("seed", range(30))
     def test_max_flow_equals_min_cut(self, seed):
         rng = random.Random(400 + seed)
