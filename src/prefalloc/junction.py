@@ -170,10 +170,17 @@ def _evaluate_guess(inst, juncs, chains, succ, pred, case):
                 if (v1, v2) in linking and not (v1 in auto3[a] and v2 in auto2[a]):
                     pair_slots.append((a, v1, v2))
 
+    # Items covered by the junctions an agent receives or is covered at.
+    fixed_sat = sum(
+        len(inst.graphs[a].dominated_set(by_case[a][1] | by_case[a][2]))
+        for a in inst.agents
+    )
     best = None
     for picks in itertools.product((False, True), repeat=len(pair_slots)):
         mandatory = {ps for ps, on in zip(pair_slots, picks) if on}
-        got = _solve_flow(inst, by_case, auto2, auto3, open_chains, taken, mandatory)
+        got = _solve_flow(
+            inst, by_case, auto2, auto3, open_chains, taken, mandatory, fixed_sat
+        )
         if got is None:
             continue
         if best is None or got[0] > best[0]:
@@ -181,14 +188,10 @@ def _evaluate_guess(inst, juncs, chains, succ, pred, case):
     return best
 
 
-def _solve_flow(inst, by_case, auto2, auto3, open_chains, taken, mandatory):
+def _solve_flow(
+    inst, by_case, auto2, auto3, open_chains, taken, mandatory, fixed_sat
+):
     """Claimed satisfaction and bundles for one fully specified guess."""
-    fixed_sat = 0
-    for a in inst.agents:
-        fixed_sat += len(
-            inst.graphs[a].dominated_set(by_case[a][1] | by_case[a][2])
-        )
-
     # Chain groups that must hand out at least one item.
     groups: list[list[tuple[str, int]]] = []  # members are (agent, chain index)
     group_of: dict[tuple[str, int], int] = {}
@@ -229,6 +232,8 @@ def _solve_flow(inst, by_case, auto2, auto3, open_chains, taken, mandatory):
             if not add_group(members):
                 return None
 
+    # The network is a DAG, as max_profit_flow requires: s -> item ->
+    # chain nodes in order -> group -> t, or straight from the chain to t.
     arcs: list[tuple] = []
     item_arc: list[tuple[str, str]] = []  # (item, agent) parallel to its arc index
     item_nodes: set[str] = set()

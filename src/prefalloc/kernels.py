@@ -3,12 +3,15 @@
 Everything here is exact integer arithmetic on small dense inputs: linear
 sum assignment, bottleneck assignment, max-weight bipartite matching,
 max-flow / min-cut, max-weight independent set in bipartite graphs, and
-max-profit flow with arc lower bounds.  No floating point anywhere.
+max-profit flow with arc lower bounds over DAG networks (successive
+shortest source->sink paths, no artificial excess).  No floating point
+anywhere.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from typing import Hashable, Iterable, Sequence
 
 from .core import PreconditionError
@@ -375,83 +378,6 @@ def bipartite_mwis(
     return total, chosen
 
 
-# -- min-cost flow (internal) ------------------------------------------------
-
-
-class _MinCostFlow:
-    """Successive shortest paths with Dijkstra and potentials.
-
-    All arc costs must be nonnegative (the caller's transformation
-    guarantees this), which keeps reduced costs nonnegative throughout.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        # edges[e] = [to, residual, cost]
-        self.edges: list[list[int]] = []
-        self.caps: list[int] = []
-
-    def add_edge(self, u: int, v: int, cap: int, cost: int) -> int:
-        eid = len(self.edges)
-        self.edges.append([v, cap, cost])
-        self.adj[u].append(eid)
-        self.edges.append([u, 0, -cost])
-        self.adj[v].append(eid + 1)
-        self.caps.append(cap)
-        self.caps.append(0)
-        return eid
-
-    def flow_on(self, eid: int) -> int:
-        return self.caps[eid] - self.edges[eid][1]
-
-    def run(self, s: int, t: int) -> tuple[int, int]:
-        import heapq
-
-        inf = float("inf")
-        h = [0] * self.n  # potentials
-        total_flow = 0
-        total_cost = 0
-        while True:
-            dist = [inf] * self.n
-            dist[s] = 0
-            prev_edge = [-1] * self.n
-            heap = [(0, s)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if d > dist[u]:
-                    continue
-                for eid in self.adj[u]:
-                    v, residual, cost = self.edges[eid]
-                    if residual <= 0:
-                        continue
-                    nd = d + cost + h[u] - h[v]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        prev_edge[v] = eid
-                        heapq.heappush(heap, (nd, v))
-            if dist[t] == inf:
-                return total_flow, total_cost
-            for v in range(self.n):
-                if dist[v] < inf:
-                    h[v] += dist[v]
-            push = None
-            v = t
-            while v != s:
-                eid = prev_edge[v]
-                residual = self.edges[eid][1]
-                push = residual if push is None else min(push, residual)
-                v = self.edges[eid ^ 1][0]
-            v = t
-            while v != s:
-                eid = prev_edge[v]
-                self.edges[eid][1] -= push
-                self.edges[eid ^ 1][1] += push
-                total_cost += push * self.edges[eid][2]
-                v = self.edges[eid ^ 1][0]
-            total_flow += push
-
-
 # -- max-profit flow with lower bounds ----------------------------------------
 
 
@@ -460,78 +386,152 @@ def max_profit_flow(
     source: Hashable,
     sink: Hashable,
 ) -> tuple[bool, int, list[int]]:
-    """Most profitable source->sink flow respecting arc bounds.
+    """Most profitable source->sink flow respecting arc bounds, on a DAG.
 
     Each arc is (u, v, low, cap, profit); cap None means unbounded, which
-    is only allowed with profit <= 0.  The flow value itself is free (a
-    return arc closes the circulation); only the bounds constrain it.
+    is only allowed with profit <= 0.  The arcs must form no directed
+    cycle.  The flow value itself is free; only the bounds constrain it.
     Returns (feasible, profit, flows) with flows parallel to `arcs`.
+
+    Method: an arc with low > 0 becomes two parallel arcs, one of capacity
+    `low` whose profit is raised by M (more than the profits of any two
+    flows can differ), and one carrying the rest at the plain profit.
+    One pass in topological order finds the cheapest paths from `source`:
+    their costs are the start potentials and their tree holds the first
+    augmenting path.  Successive shortest paths (Dijkstra on reduced
+    costs) then augment source->sink while the path still makes a profit.
+    Path costs only rise, so stopping there maximizes the profit over
+    every flow value, and the bounds hold exactly when every M arc ends
+    saturated.  No return arc, super source or super sink is needed.
     """
-    nodes: dict[Hashable, int] = {}
-
-    def nid(x: Hashable) -> int:
-        if x not in nodes:
-            nodes[x] = len(nodes)
-        return nodes[x]
-
-    nid(source)
-    nid(sink)
+    ids: dict[Hashable, int] = {source: 0}
+    s = 0
+    t = ids.setdefault(sink, len(ids))
+    tails: list[int] = []
+    heads: list[int] = []
     finite_total = 0
     for u, v, low, cap, prof in arcs:
-        nid(u)
-        nid(v)
         if low < 0:
             raise PreconditionError("negative lower bound")
-        if cap is not None and cap < low:
+        if cap is None:
+            if prof > 0:
+                raise PreconditionError("unbounded arc with positive profit")
+        elif cap < low:
             raise PreconditionError("capacity below lower bound")
-        if cap is None and prof > 0:
-            raise PreconditionError("unbounded arc with positive profit")
-        finite_total += low + (cap if cap is not None else 0)
-    inf_cap = finite_total + 1
-    work = [
-        (nid(u), nid(v), low, cap if cap is not None else inf_cap, -prof)
-        for u, v, low, cap, prof in arcs
-    ]
-    # Close the circulation so the flow value is unconstrained.
-    work.append((nid(sink), nid(source), 0, inf_cap, 0))
+        else:
+            finite_total += cap
+        finite_total += low
+        tails.append(ids.setdefault(u, len(ids)))
+        heads.append(ids.setdefault(v, len(ids)))
+    n = len(ids)
+    m2 = 2 * len(arcs)
 
-    n = len(nodes)
-    excess = [0] * n
-    baseline = 0
-    # (mcmf edge id, kind) per arc; kind "fwd" or "rev" drives reconstruction
-    plan: list[tuple[int, str, int, int]] = []
-    mcmf = _MinCostFlow(n + 2)
-    super_s, super_t = n, n + 1
-    for u, v, low, cap, cost in work:
-        span = cap - low
-        excess[v] += low
-        excess[u] -= low
-        baseline += low * cost
-        if cost >= 0:
-            eid = mcmf.add_edge(u, v, span, cost)
-            plan.append((eid, "fwd", low, span))
+    # Residual graph in flat lists: edge e and e ^ 1 are twins, and the
+    # cost is the negated profit.  Edge 2k carries arc k above its lower
+    # bound; the M edges of the bounded arcs follow from edge m2 on.
+    inf_cap = finite_total + 1
+    caps = [inf_cap if arc[3] is None else arc[3] for arc in arcs]
+    big = 1 + sum(abs(arc[4]) * cap for arc, cap in zip(arcs, caps))
+    to: list[int] = []
+    res: list[int] = []
+    cost: list[int] = []
+    for u, v, cap, (_, _, low, _, prof) in zip(tails, heads, caps, arcs):
+        to += (v, u)
+        res += (cap - low, 0)
+        cost += (-prof, prof)
+    bounded = [k for k, arc in enumerate(arcs) if arc[2]]
+    for k in bounded:
+        _, _, low, _, prof = arcs[k]
+        to += (heads[k], tails[k])
+        res += (low, 0)
+        cost += (-prof - big, prof + big)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for e in range(0, len(to), 2):
+        adj[to[e + 1]].append(e)
+        adj[to[e]].append(e + 1)
+
+    # One pass in Kahn's order checks for cycles and finds the cheapest
+    # paths from the source: their costs are the start potentials, and
+    # their tree gives the first augmenting path.  Nodes the source cannot
+    # reach keep potential 0; no residual edge ever leads to them.
+    h = [0] * n
+    prev = [-1] * n
+    seen = [False] * n
+    seen[s] = True
+    indeg = [0] * n
+    for v in heads:
+        indeg[v] += 1
+    stack = [v for v in range(n) if not indeg[v]]
+    done = 0
+    while stack:
+        u = stack.pop()
+        done += 1
+        reached = seen[u]
+        hu = h[u]
+        for e in adj[u]:
+            if e & 1:
+                continue
+            v = to[e]
+            if e < m2:
+                indeg[v] -= 1
+                if not indeg[v]:
+                    stack.append(v)
+            if reached and res[e]:
+                d = hu + cost[e]
+                if not seen[v] or d < h[v]:
+                    h[v] = d
+                    prev[v] = e
+                    seen[v] = True
+    if done < n:
+        raise PreconditionError("arc list has a directed cycle")
+
+    inf = float("inf")
+    # h[t] is the cost of the cheapest path, prev its edges; augment while
+    # it makes a profit, then find the next one.
+    while s != t and seen[t] and h[t] < 0:
+        push = inf_cap
+        v = t
+        while v != s:
+            e = prev[v]
+            if res[e] < push:
+                push = res[e]
+            v = to[e ^ 1]
+        v = t
+        while v != s:
+            e = prev[v]
+            res[e] -= push
+            res[e ^ 1] += push
+            v = to[e ^ 1]
+        dist = [inf] * n
+        dist[s] = 0
+        heap = [(0, s)]
+        while heap:
+            d, u = heappop(heap)
+            if u == t:
+                break
+            if d > dist[u]:
+                continue
+            du = d + h[u]
+            for e in adj[u]:
+                if res[e]:
+                    v = to[e]
+                    nd = du + cost[e] - h[v]
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        prev[v] = e
+                        heappush(heap, (nd, v))
         else:
-            # Profitable arc: take it in full, let reverse flow give some back.
-            excess[v] += span
-            excess[u] -= span
-            baseline += span * cost
-            eid = mcmf.add_edge(v, u, span, -cost)
-            plan.append((eid, "rev", low, span))
-    need = 0
-    for v in range(n):
-        if excess[v] > 0:
-            mcmf.add_edge(super_s, v, excess[v], 0)
-            need += excess[v]
-        elif excess[v] < 0:
-            mcmf.add_edge(v, super_t, -excess[v], 0)
-    got, extra_cost = mcmf.run(super_s, super_t)
-    if got != need:
-        return False, 0, [0] * len(arcs)
-    flows = []
-    for eid, kind, low, span in plan[:-1]:
-        if kind == "fwd":
-            flows.append(low + mcmf.flow_on(eid))
-        else:
-            flows.append(low + span - mcmf.flow_on(eid))
-    profit = -(baseline + extra_cost)
+            break  # the sink is out of reach
+        # Nodes not settled before the sink move by its distance, which
+        # keeps every reduced cost nonnegative.
+        cut = dist[t]
+        h = [hv + (dv if dv < cut else cut) for hv, dv in zip(h, dist)]
+
+    flows = res[1:m2:2]
+    for j, k in enumerate(bounded):
+        e = m2 + 2 * j
+        if res[e]:
+            return False, 0, [0] * len(arcs)
+        flows[k] += res[e + 1]
+    profit = sum(f * arc[4] for f, arc in zip(flows, arcs))
     return True, profit, flows

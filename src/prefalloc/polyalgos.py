@@ -447,32 +447,19 @@ def _decode_component(verts, finals, tables, pair):
     return {v: s for v, s in zip(verts, states_rev) if s}
 
 
-def two_matchings_profiles(inst: Instance) -> frozenset[tuple[int, int]]:
-    """Every dissatisfaction pair two matching-shaped agents can realize."""
-    _require(inst, GraphClass.DIRECTED_MATCHING, agents=2)
-    combined = {(0, 0)}
-    for verts, edges, closing in _matching_walks(inst):
-        pairs, _, _ = _component_table(inst, verts, edges, closing)
-        combined = {
-            (d1 + p1, d2 + p2) for d1, d2 in combined for p1, p2 in pairs
-        }
-    return frozenset(combined)
+def _two_matchings_layers(inst: Instance):
+    """Component tables and the layered combine of their pair sets.
 
-
-def minmax_two_matchings(inst: Instance) -> SolveResult:
-    """Min worst-agent dissatisfaction for two agents with directed matchings.
-
-    Dynamic program along the overlay's paths and cycles; component pair
-    sets are then combined and the best total pair picked (smallest max,
-    then lexicographic), with backpointers rebuilding a witness.
+    Returns (infos, layers): infos[c] is (verts, pairs, finals, tables)
+    for component c, and layers[c + 1] maps each total pair reachable
+    with the first c + 1 components to (previous total, component pair),
+    the first such split in sorted scan order.
     """
     _require(inst, GraphClass.DIRECTED_MATCHING, agents=2)
-    comps = _matching_walks(inst)
     infos = [
         (verts, *_component_table(inst, verts, edges, closing))
-        for verts, edges, closing in comps
+        for verts, edges, closing in _matching_walks(inst)
     ]
-    # combined[c]: pair -> (previous pair, this component's pair)
     layers: list[dict[tuple[int, int], tuple]] = [{(0, 0): None}]
     for _, pairs, _, _ in infos:
         prev = layers[-1]
@@ -483,6 +470,23 @@ def minmax_two_matchings(inst: Instance) -> SolveResult:
                 if key not in cur:
                     cur[key] = (base, p)
         layers.append(cur)
+    return infos, layers
+
+
+def two_matchings_profiles(inst: Instance) -> frozenset[tuple[int, int]]:
+    """Every dissatisfaction pair two matching-shaped agents can realize."""
+    _, layers = _two_matchings_layers(inst)
+    return frozenset(layers[-1])
+
+
+def minmax_two_matchings(inst: Instance) -> SolveResult:
+    """Min worst-agent dissatisfaction for two agents with directed matchings.
+
+    Dynamic program along the overlay's paths and cycles; component pair
+    sets are then combined and the best total pair picked (smallest max,
+    then lexicographic), with backpointers rebuilding a witness.
+    """
+    infos, layers = _two_matchings_layers(inst)
     target = min(layers[-1], key=lambda t: (max(t), t))
     choices = []
     cursor = target

@@ -1,12 +1,19 @@
 """Junction-parameterized exact min-sum solver."""
 
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 
 from prefalloc import exact, randgen
 from prefalloc.classify import junction_count
-from prefalloc.core import SizeGuardError, profile, validate_allocation
+from prefalloc.core import (
+    SizeGuardError,
+    profile,
+    serialize_instance,
+    validate_allocation,
+)
 from prefalloc.junction import minsum_few_junctions
 from prefalloc.polyalgos import minsum_disjoint_paths
 
@@ -69,3 +76,24 @@ def test_matches_oracle_on_general_dags(seed):
     inst = randgen.random_instance(rng, "dag", rng.randint(2, 6), rng.randint(1, 2))
     res = minsum_few_junctions(inst)
     assert res.value == exact.minimize(inst, "sum").value
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """The benchmark's 0/1 ILP reference, independent of every solver here."""
+    return runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "reference.py"))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_matches_ilp_at_benchmark_size(reference, seed):
+    # 12 items and 6 agents, as in the benchmark's junction workload, is
+    # past the oracle's reach; the ILP checks the flow-based answer there.
+    # Draws without a junction are redrawn, so every case guesses.
+    rng = random.Random(seed)
+    inst = randgen.junction_bounded_instance(rng, 12, 6, 3)
+    while junction_count(inst) == 0:
+        inst = randgen.junction_bounded_instance(rng, 12, 6, 3)
+    res = minsum_few_junctions(inst)
+    assert validate_allocation(inst, res.witness) == []
+    assert profile(inst, res.witness).total == res.value
+    assert res.value == reference["optimum"](serialize_instance(inst), "sum")

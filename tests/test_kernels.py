@@ -28,6 +28,64 @@ def brute_assignment(cost, aggregate):
     return best
 
 
+def brute_max_profit_flow(arcs, source, sink):
+    """(feasible, profit) over every integer flow vector within the bounds.
+
+    An unbounded arc is tried up to the summed finite capacities and lower
+    bounds: on a DAG an optimal flow splits into source-sink paths, and a
+    path of unbounded arcs only (profit <= 0) is needed only to meet a
+    lower bound, so no arc needs more than that.
+    """
+    limit = sum(low + (cap or 0) for _, _, low, cap, _ in arcs)
+    ranges = [
+        range(low, (limit if cap is None else cap) + 1) for _, _, low, cap, _ in arcs
+    ]
+    best = None
+    for flows in itertools.product(*ranges):
+        net = {}
+        for f, (u, v, _, _, _) in zip(flows, arcs):
+            net[u] = net.get(u, 0) + f
+            net[v] = net.get(v, 0) - f
+        if any(x for node, x in net.items() if node not in (source, sink)):
+            continue
+        if net.get(source, 0) < 0 or net.get(source, 0) + net.get(sink, 0):
+            continue  # the flow must run from source to sink
+        profit = sum(f * p for f, (_, _, _, _, p) in zip(flows, arcs))
+        if best is None or profit > best:
+            best = profit
+    return (False, None) if best is None else (True, best)
+
+
+def assert_valid_flow(arcs, flows, profit):
+    """Flows within their bounds, conserved off s and t, worth `profit`."""
+    assert profit == sum(f * p for f, (_, _, _, _, p) in zip(flows, arcs))
+    net = {}
+    for f, (u, v, low, cap, _) in zip(flows, arcs):
+        assert low <= f and (cap is None or f <= cap)
+        net[u] = net.get(u, 0) + f
+        net[v] = net.get(v, 0) - f
+    assert all(x == 0 for node, x in net.items() if node not in ("s", "t"))
+
+
+def random_flow_dag(rng):
+    """At most 6 arcs along a topological order of s, 1-3 more nodes and t,
+    with lower bounds, unbounded arcs (profit <= 0) and parallel arcs.  One
+    network in four shuffles the order, so arcs may enter s or leave t."""
+    nodes = ["s"] + ["abc"[i] for i in range(rng.randint(1, 3))] + ["t"]
+    if rng.random() < 0.25:
+        rng.shuffle(nodes)
+    arcs = []
+    for _ in range(rng.randint(1, 6)):
+        i, j = sorted(rng.sample(range(len(nodes)), 2))
+        low = rng.choice((0,) * 6 + (1, 2))
+        if rng.random() < 0.2:
+            arcs.append((nodes[i], nodes[j], low, None, rng.randint(-3, 0)))
+        else:
+            cap = rng.randint(low, low + 2)
+            arcs.append((nodes[i], nodes[j], low, cap, rng.randint(-3, 4)))
+    return arcs
+
+
 def brute_max_matching(n_left, n_right, adj):
     edges = [(u, v) for u in range(n_left) for v in adj[u]]
     best = 0
@@ -317,12 +375,26 @@ class TestMaxProfitFlow:
         ]
         feasible, profit, flows = max_profit_flow(arcs, "s", "t")
         assert feasible
-        assert profit == sum(f * p for f, (_, _, _, _, p) in zip(flows, arcs))
-        net = {}
-        for f, (u, v, low, cap, _) in zip(flows, arcs):
-            assert low <= f <= (cap if cap is not None else f)
-            net[u] = net.get(u, 0) + f
-            net[v] = net.get(v, 0) - f
-        for node, imbalance in net.items():
-            if node not in ("s", "t"):
-                assert imbalance == 0
+        assert_valid_flow(arcs, flows, profit)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_brute_force_on_random_dags(self, seed):
+        rng = random.Random(seed)
+        for _ in range(10):
+            arcs = random_flow_dag(rng)
+            feasible, profit, flows = max_profit_flow(arcs, "s", "t")
+            assert len(flows) == len(arcs)
+            expected = brute_max_profit_flow(arcs, "s", "t")
+            assert (feasible, profit if feasible else None) == expected, arcs
+            if feasible:
+                assert_valid_flow(arcs, flows, profit)
+
+    def test_cyclic_arc_list_rejected(self):
+        with pytest.raises(PreconditionError):
+            max_profit_flow(
+                [("s", "a", 0, 1, 1), ("a", "b", 0, 1, 0), ("b", "a", 0, 1, 0)],
+                "s",
+                "b",
+            )
+        with pytest.raises(PreconditionError):
+            max_profit_flow([("a", "b", 0, 1, 0), ("b", "a", 0, 1, 0)], "a", "b")
