@@ -24,7 +24,7 @@ class Error(Exception):
 
 
 class ParseError(Error):
-    """Malformed input document.  Carries a location like 'agents[2].arcs[0]'."""
+    """Malformed input document or setting.  Carries a location like 'agents[2].arcs[0]'."""
 
     def __init__(self, message: str, location: str | None = None):
         self.location = location

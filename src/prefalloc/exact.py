@@ -38,7 +38,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .core import Allocation, Instance, SizeGuardError
+from .core import Allocation, Instance, ParseError, SizeGuardError
 
 _LIMIT_ENV = "PREFALLOC_ORACLE_LIMIT"
 _DEFAULT_LIMIT = 10_000_000
@@ -64,12 +64,12 @@ def _effective_limit(limit: int | None) -> int:
     if limit is not None:
         return limit
     raw = os.environ.get(_LIMIT_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return _DEFAULT_LIMIT
+    if not raw:
+        return _DEFAULT_LIMIT
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"{_LIMIT_ENV} must be an integer, got {raw!r}") from None
 
 
 def _guard(inst: Instance, limit: int | None) -> None:

@@ -3,6 +3,10 @@
 Each solver states its structural precondition and raises
 PreconditionError outside it.  All of them return exact optima; the tests
 check them against the exhaustive reference solver.
+
+Directed matchings, single paths and path forests are all unions of
+disjoint paths: their min-sum solvers share one chain assignment, and
+min-max over single paths runs a bottleneck assignment on its rows.
 """
 
 from __future__ import annotations
@@ -11,7 +15,8 @@ from dataclasses import dataclass
 
 from .classify import GraphClass, misfit_agent
 from .core import Allocation, Instance, PreconditionError, profile
-from .kernels import bipartite_mwis, lbap, lsap, max_weight_matching
+from .kernels import bipartite_mwis, lbap, lsap
+from .kernels import max_weight_matching  # noqa: F401  perfbench/tracing.py wraps it by name
 
 
 @dataclass(frozen=True)
@@ -38,46 +43,21 @@ def _require(inst: Instance, shape: GraphClass, agents: int | None = None) -> No
         raise PreconditionError(f"graph of agent {bad!r} is not {_SHAPE_TEXT[shape]}")
 
 
-# -- directed matchings, minimize total dissatisfaction ----------------------
-
-
-def minsum_directed_matchings(inst: Instance) -> SolveResult:
-    """Min total dissatisfaction when every graph is a directed matching.
-
-    One max-weight matching in an auxiliary bipartite graph.  Per desired
-    item there is a slot pairing it with its owner ("x" nodes) and per
-    item a shared exclusivity node ("z"); taking an arc's tail is worth 2
-    (it covers both ends), taking the head is worth 1.  A heavy node per
-    arc ("y") blocks one of the arc's two slots, so each arc contributes
-    at most one of the two takes, which keeps the count exact.
-    """
-    _require(inst, GraphClass.DIRECTED_MATCHING)
-    total_items = len(inst.items)
-    heavy = 2 * total_items
-    left = []
-    right = [("z", v) for v in inst.items]
-    weights: dict[tuple, int] = {}
-    for a in inst.agents:
-        g = inst.graphs[a]
-        for v in g.sorted_items:
-            left.append(("x", a, v))
-            weights[(("x", a, v), ("z", v))] = 2 if g.out_degree(v) == 1 else 1
-        for arc in sorted(g.arcs):
-            tail, head = arc
-            right.append(("y", a, arc))
-            weights[(("x", a, tail), ("y", a, arc))] = heavy
-            weights[(("x", a, head), ("y", a, arc))] = heavy
-    _, matched = max_weight_matching(left, right, weights)
-    bundles: dict[str, set[str]] = {}
-    for lnode, rnode in matched.items():
-        if rnode[0] == "z":
-            _, a, v = lnode
-            bundles.setdefault(a, set()).add(v)
-    alloc = Allocation.of(bundles)
-    return SolveResult(profile(inst, alloc).total, alloc)
-
-
-# -- single paths: assignment reductions --------------------------------------
+# -- path forests: directed matchings, single paths, unions of paths ---------
+#
+# A directed matching is a union of disjoint paths whose components are
+# single arcs, and a single path is a union with one component, so the
+# three min-sum routes share one assignment.  Dissatisfaction splits over
+# path components, and receiving an item covers it and everything after
+# it on its path, so only a component's earliest received item matters:
+# each (agent, component) pair becomes one assignment row, whose cost
+# for an item is the item's depth on the component, else the component's
+# length, plus one "receives nothing" column per row.  Any allocation
+# gives an assignment costing its dissatisfaction (each component takes
+# its earliest received item), and the decoded allocation, which hands
+# each agent every item of its graph assigned to one of its rows, leaves
+# no component above its row's cost; so the assignment total is the
+# optimum and the witness's dissatisfaction.
 
 
 def _path_chains(g) -> list[list[str]]:
@@ -92,76 +72,59 @@ def _path_chains(g) -> list[list[str]]:
     return chains
 
 
-def _chain_costs(chains: list[list[str]], items: list[str]) -> list[list[int]]:
-    """Assignment costs, one row per chain: an item's depth on the chain,
-    else the chain's length, plus one "receives nothing" slot per row."""
+def _chain_rows(inst: Instance) -> tuple[list[str], list[list[int]]]:
+    """Row owners and costs: one row per (agent, path component), in agent order."""
+    rows = [(a, chain) for a in inst.agents for chain in _path_chains(inst.graphs[a])]
     cost = []
-    for chain in chains:
+    for _, chain in rows:
         depth = {v: i for i, v in enumerate(chain)}
         size = len(chain)
-        row = [depth.get(v, size) for v in items]
-        row.extend([size] * len(chains))
-        cost.append(row)
-    return cost
+        cost.append([depth.get(v, size) for v in inst.items] + [size] * len(rows))
+    return [a for a, _ in rows], cost
 
 
-def _chains_decode(
-    inst: Instance, owners: list[str], cols: list[int], items: list[str]
-) -> Allocation:
+def _chains_decode(inst: Instance, owners: list[str], cols: list[int]) -> Allocation:
     bundles: dict[str, set[str]] = {}
     for a, j in zip(owners, cols):
-        if j < len(items) and items[j] in inst.graphs[a].items:
-            bundles.setdefault(a, set()).add(items[j])
+        if j < len(inst.items) and inst.items[j] in inst.graphs[a].items:
+            bundles.setdefault(a, set()).add(inst.items[j])
     return Allocation.of(bundles)
 
 
-def _paths_matrix(inst: Instance) -> tuple[list[list[int]], list[str]]:
-    _require(inst, GraphClass.PATH)
-    items = list(inst.items)
-    chains = [_path_chains(inst.graphs[a])[0] for a in inst.agents]
-    return _chain_costs(chains, items), items
+def _minsum_chains(inst: Instance) -> SolveResult:
+    owners, cost = _chain_rows(inst)
+    total, cols = lsap(cost)
+    return SolveResult(total, _chains_decode(inst, owners, cols))
+
+
+def minsum_directed_matchings(inst: Instance) -> SolveResult:
+    """Min total dissatisfaction when every graph is a directed matching."""
+    _require(inst, GraphClass.DIRECTED_MATCHING)
+    return _minsum_chains(inst)
 
 
 def minsum_paths(inst: Instance) -> SolveResult:
-    """Min total dissatisfaction when every graph is one directed path.
-
-    Receiving an item covers it and everything after it on the path, so
-    only an agent's earliest received item matters; that makes one item
-    per agent enough, which is a linear sum assignment.
-    """
-    cost, items = _paths_matrix(inst)
-    total, cols = lsap(cost)
-    alloc = _chains_decode(inst, inst.agents, cols, items)
-    return SolveResult(total, alloc)
-
-
-def minmax_paths(inst: Instance) -> SolveResult:
-    """Min worst-agent dissatisfaction for single paths (bottleneck assignment)."""
-    cost, items = _paths_matrix(inst)
-    value, cols = lbap(cost)
-    alloc = _chains_decode(inst, inst.agents, cols, items)
-    return SolveResult(value, alloc)
-
-
-# -- disjoint unions of paths, minimize total ---------------------------------
+    """Min total dissatisfaction when every graph is one directed path."""
+    _require(inst, GraphClass.PATH)
+    return _minsum_chains(inst)
 
 
 def minsum_disjoint_paths(inst: Instance) -> SolveResult:
-    """Min total dissatisfaction when every graph is a union of disjoint paths.
-
-    Dissatisfaction splits over path components, so each component acts
-    as its own tiny agent and the whole thing is again one assignment
-    problem: rows are (agent, component) pairs, columns are items plus
-    one "nothing" slot per row.
-    """
+    """Min total dissatisfaction when every graph is a union of disjoint paths."""
     _require(inst, GraphClass.DISJOINT_PATHS)
-    rows = [(a, chain) for a in inst.agents for chain in _path_chains(inst.graphs[a])]
-    if not rows:
-        return SolveResult(0, Allocation.empty())
-    items = list(inst.items)
-    total, cols = lsap(_chain_costs([chain for _, chain in rows], items))
-    alloc = _chains_decode(inst, [a for a, _ in rows], cols, items)
-    return SolveResult(profile(inst, alloc).total, alloc)
+    return _minsum_chains(inst)
+
+
+def minmax_paths(inst: Instance) -> SolveResult:
+    """Min worst-agent dissatisfaction for single paths (bottleneck assignment).
+
+    With one component per agent, a row's cost is its agent's
+    dissatisfaction, so the bottleneck is the worst agent's.
+    """
+    _require(inst, GraphClass.PATH)
+    owners, cost = _chain_rows(inst)
+    value, cols = lbap(cost)
+    return SolveResult(value, _chains_decode(inst, owners, cols))
 
 
 # -- two agents with star-forest graphs ---------------------------------------

@@ -34,15 +34,6 @@ from .core import (
     validate_allocation,
 )
 
-KINDS = (
-    "minmax-outstars",
-    "minsum-outtrees",
-    "two-agents-sat",
-    "minmax-matchings",
-    "minmax-two-paths",
-)
-
-
 # -- source problems -------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 """Shared builders for the test suite."""
 
 import itertools
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -66,3 +68,9 @@ def brute_profiles(inst: Instance) -> set:
 def worked() -> Instance:
     """Three agents over {a, b, c}: one wants everything, two want one item."""
     return instance({"1": graph("abc"), "2": graph("b"), "3": graph("c")})
+
+
+@pytest.fixture(scope="session")
+def reference():
+    """The benchmark's 0/1 ILP reference, independent of every solver here."""
+    return runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "reference.py"))

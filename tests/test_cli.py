@@ -130,6 +130,21 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", worked_path, "--objective", "max")
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--objective", "max"),
+            ("solve", "--objective", "sum", "--algorithm", "oracle"),
+            ("classify",),
+        ],
+    )
+    def test_oracle_limit_not_an_integer(self, worked_path, capsys, monkeypatch, argv):
+        monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", "abc")
+        code, out, err = run(capsys, argv[0], worked_path, *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert "PREFALLOC_ORACLE_LIMIT" in err and "'abc'" in err
+
     def test_bad_instance_file(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text("{]")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from prefalloc.core import SizeGuardError, profile, validate_allocation
+from prefalloc.core import ParseError, SizeGuardError, profile, validate_allocation
 from prefalloc.exact import all_profiles, decide, minimize, search_space
 from prefalloc import randgen, reductions
 
@@ -138,6 +138,12 @@ class TestSizeGuard:
             minimize(worked, "sum")
         monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", "1000")
         assert minimize(worked, "sum").value == 2
+
+    @pytest.mark.parametrize("raw", ["abc", "1e6", "10_000x"])
+    def test_env_var_not_an_integer_is_refused(self, worked, monkeypatch, raw):
+        monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", raw)
+        with pytest.raises(ParseError, match="PREFALLOC_ORACLE_LIMIT"):
+            minimize(worked, "sum")
 
     def test_all_profiles_guarded_too(self, worked):
         with pytest.raises(SizeGuardError):

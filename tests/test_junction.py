@@ -1,8 +1,6 @@
 """Junction-parameterized exact min-sum solver."""
 
 import random
-import runpy
-from pathlib import Path
 
 import pytest
 
@@ -76,12 +74,6 @@ def test_matches_oracle_on_general_dags(seed):
     inst = randgen.random_instance(rng, "dag", rng.randint(2, 6), rng.randint(1, 2))
     res = minsum_few_junctions(inst)
     assert res.value == exact.minimize(inst, "sum").value
-
-
-@pytest.fixture(scope="module")
-def reference():
-    """The benchmark's 0/1 ILP reference, independent of every solver here."""
-    return runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "reference.py"))
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from prefalloc import exact, randgen
-from prefalloc.core import PreconditionError, profile, validate_allocation
+from prefalloc.classify import ROUTES, GraphClass, dispatch
+from prefalloc.core import PreconditionError, profile, serialize_instance, validate_allocation
 from prefalloc.polyalgos import (
     minmax_paths,
     minmax_two_matchings,
@@ -216,3 +217,34 @@ class TestTwoMatchings:
         rng = random.Random(7000 + seed)
         inst = randgen.random_instance(rng, "matching", rng.randint(2, 8), 2)
         check_against_oracle(inst, minmax_two_matchings, "max")
+
+
+# Each polynomial route's benchmark stratum (perfbench/workloads.py):
+# randgen shape, items, agents.  The general-DAG route is checked the
+# same way in test_junction.py.
+BENCHMARK_SIZES = {
+    "minsum-matchings": ("matching", 16, 5),
+    "minsum-paths": ("path", 32, 12),
+    "minsum-disjoint-paths": ("disjoint-paths", 24, 8),
+    "minsum-two-star-forests": ("union-out-stars", 160, 2),
+    "minmax-paths": ("path", 32, 12),
+    "minmax-two-matchings": ("matching", 24, 2),
+}
+POLY_ROUTES = [r for r in ROUTES if r.shape is not GraphClass.GENERAL_DAG]
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("route", POLY_ROUTES, ids=lambda r: r.name)
+def test_matches_ilp_at_benchmark_size(reference, route, seed):
+    # These sizes are past the oracle's reach; the ILP checks them.  Draws
+    # the dispatcher sends elsewhere are redrawn, as the benchmark does.
+    shape, items, agents = BENCHMARK_SIZES[route.name]
+    rng = random.Random(f"{route.name}/{seed}")
+    inst = randgen.random_instance(rng, shape, items, agents)
+    while dispatch(inst, route.objective).name != route.name:
+        inst = randgen.random_instance(rng, shape, items, agents)
+    res = route.solve(inst)
+    assert validate_allocation(inst, res.witness) == []
+    prof = profile(inst, res.witness)
+    assert (prof.total if route.objective == "sum" else prof.maximum) == res.value
+    assert res.value == reference["optimum"](serialize_instance(inst), route.objective)
