@@ -67,13 +67,16 @@ class _CliError(Exception):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise _CliError(EXIT_INPUT, f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 ({exc.reason} at byte {exc.start})"
+        raise _CliError(EXIT_INPUT, f"cannot read {path}: {reason}") from None
 
 
 def _load_instance(path: str) -> Instance:

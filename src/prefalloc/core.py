@@ -402,6 +402,18 @@ def profile(inst: Instance, alloc: Allocation) -> DissatisfactionProfile:
 # -- JSON interchange ----------------------------------------------------
 
 
+def load_json(text: str | bytes):
+    """`json.loads`, raising ParseError on malformed, over-deep or non-UTF-8 input."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e.msg}", f"line {e.lineno}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nesting too deep") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"invalid UTF-8: {e.reason} at byte {e.start}") from None
+
+
 def _expect(cond: bool, message: str, location: str):
     if not cond:
         raise ParseError(message, location)
@@ -426,10 +438,7 @@ def parse_instance(text: str | bytes) -> Instance:
     unknown items, arc endpoints, self-loops and cycles are rejected by
     `PreferenceGraph` and `Instance`.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", f"line {e.lineno}") from None
+    data = load_json(text)
     _expect(isinstance(data, dict), "top level must be an object", "$")
     _expect("items" in data, 'missing "items"', "$")
     _expect("agents" in data, 'missing "agents"', "$")
@@ -498,10 +507,7 @@ def parse_allocation(
     does not desire them are dropped with a warning instead of being kept
     for validation to reject.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", f"line {e.lineno}") from None
+    data = load_json(text)
     _expect(isinstance(data, dict), "top level must be an object", "$")
     _expect("allocation" in data, 'missing "allocation"', "$")
     body = data["allocation"]

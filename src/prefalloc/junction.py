@@ -233,26 +233,25 @@ def _solve_flow(
                 return None
 
     # The network is a DAG, as max_profit_flow requires: s -> item ->
-    # chain nodes in order -> group -> t, or straight from the chain to t.
+    # chain node -> group -> t, or straight from the chain node to t.  A
+    # chain hands out at most one item, through its capacity-1 exit arc.
     arcs: list[tuple] = []
     item_arc: list[tuple[str, str]] = []  # (item, agent) parallel to its arc index
     item_nodes: set[str] = set()
     for a in inst.agents:
         for ci, ch in enumerate(open_chains[a]):
             m = len(ch.internals)
-            for t in range(1, m):
-                arcs.append((("c", a, ci, t), ("c", a, ci, t + 1), 0, 1, 0))
-                item_arc.append(None)
+            node = ("c", a, ci)
             for t, x in enumerate(ch.internals, start=1):
                 if x in taken:
                     continue
                 item_nodes.add(x)
-                arcs.append((("i", x), ("c", a, ci, t), 0, 1, m - t + 1))
+                arcs.append((("i", x), node, 0, 1, m - t + 1))
                 item_arc.append((x, a))
             exit_node = (
                 ("g", group_of[(a, ci)]) if (a, ci) in group_of else "t"
             )
-            arcs.append((("c", a, ci, m), exit_node, 0, 1, 0))
+            arcs.append((node, exit_node, 0, 1, 0))
             item_arc.append(None)
     for x in sorted(item_nodes):
         arcs.append(("s", ("i", x), 0, 1, 0))

@@ -224,178 +224,90 @@ def minsum_two_star_forests(inst: Instance) -> SolveResult:
 
 
 # -- two agents with directed matchings: min worst dissatisfaction ------------
+#
+# Every item an agent desires lies on exactly one arc (t, h) of its
+# matching: t is satisfied only by holding t, and h by holding t or h.
+# So agent q's dissatisfaction is a sum over q's arcs of 0 if q holds t,
+# 1 if q holds h but not t, and 2 otherwise, and each term reads only the
+# states of the arc's two ends (0 = unallocated, or the holding agent's
+# number).  A vertex has at most one arc per graph, so the overlay of the
+# two graphs splits into alternating paths and even cycles, and the
+# program walks each one vertex by vertex.  It charges every arc exactly
+# once, when the state of its second walk vertex is chosen.  A cycle's
+# closing arc joins the last vertex back to the first, so each key
+# carries the first vertex's state and that arc is charged at the end.
+# The charges then sum to each agent's dissatisfaction, so a component's
+# final pairs are exactly the pairs it can realize.
 
 
-def _matching_walks(inst: Instance):
-    """Components of the two graphs' overlay, as walks.
+def _overlay_components(inst: Instance):
+    """Components of the two graphs' overlay as (vertices, arcs), paths first, then cycles.
 
-    Every overlay vertex has degree one per graph containing it, so
-    components are alternating paths and even cycles.  Returns a list of
-    (verts, edges, closing) where edges[j] describes the arc between
-    verts[j] and verts[j+1] as (graph_no, forward) and closing is None
-    for paths or the (graph_no, forward) arc from the last vertex back
-    to the first.
+    An arc is one (tail, head, agent number) tuple shared by both its
+    ends.  arcs[j] joins vertices[j] to the next vertex, and a cycle's
+    last arc joins its last vertex back to its first.  A path starts at
+    its end that comes first in item order, a cycle at its first vertex
+    in item order, along agent 1's arc.
     """
-    a1, a2 = inst.agents
-    arcs = []
-    for gno, a in ((1, a1), (2, a2)):
-        for tail, head in sorted(inst.graphs[a].arcs):
-            arcs.append((tail, head, gno))
-    inc: dict[str, list[int]] = {v: [] for v in inst.items}
-    for eid, (tail, head, _) in enumerate(arcs):
-        inc[tail].append(eid)
-        inc[head].append(eid)
-
-    def other_end(eid: int, v: str) -> str:
-        tail, head, _ = arcs[eid]
-        return head if v == tail else tail
-
-    def edge_label(eid: int, from_v: str) -> tuple[int, bool]:
-        tail, _, gno = arcs[eid]
-        return (gno, tail == from_v)
-
-    visited_e = [False] * len(arcs)
-    seen_v: set[str] = set()
-    walks = []
-    # Path components first: start from degree-1 vertices in sorted order.
-    for v0 in inst.items:
-        if v0 in seen_v or len(inc[v0]) != 1:
+    inc: dict[str, list[tuple]] = {v: [] for v in inst.items}
+    for q, a in enumerate(inst.agents, start=1):
+        for tail, head in inst.graphs[a].arcs:
+            arc = (tail, head, q)
+            inc[tail].append(arc)
+            inc[head].append(arc)
+    seen: set[str] = set()
+    comps = []
+    for v0 in sorted(inst.items, key=lambda v: len(inc[v]) != 1):  # path ends first
+        if v0 in seen:
             continue
-        verts = [v0]
-        edges = []
-        seen_v.add(v0)
-        cur = v0
-        while True:
-            nxt_e = [e for e in inc[cur] if not visited_e[e]]
-            if not nxt_e:
+        verts, arcs = [v0], []
+        arc = inc[v0][0]
+        while arc is not None:
+            arcs.append(arc)
+            tail, head, _ = arc
+            v = head if tail == verts[-1] else tail
+            if v == v0:
                 break
-            eid = nxt_e[0]
-            visited_e[eid] = True
-            edges.append(edge_label(eid, cur))
-            cur = other_end(eid, cur)
-            verts.append(cur)
-            seen_v.add(cur)
-        walks.append((verts, edges, None))
-    # Remaining components are cycles.
-    for v0 in inst.items:
-        if v0 in seen_v:
-            continue
-        verts = [v0]
-        edges = []
-        seen_v.add(v0)
-        cur = v0
-        first = sorted(
-            inc[v0], key=lambda e: (arcs[e][2], arcs[e][0] != v0, arcs[e][0], arcs[e][1])
-        )[0]
-        eid = first
-        while True:
-            visited_e[eid] = True
-            label = edge_label(eid, cur)
-            cur = other_end(eid, cur)
-            if cur == verts[0]:
-                walks.append((verts, edges, label))
-                break
-            edges.append(label)
-            verts.append(cur)
-            seen_v.add(cur)
-            eid = [e for e in inc[cur] if not visited_e[e]][0]
-    return walks
+            verts.append(v)
+            arc = next((e for e in inc[v] if e is not arc), None)
+        seen.update(verts)
+        comps.append((verts, arcs))
+    return comps
 
 
-def _step_delta(vj_graphs, vprev_graphs, e_j, e_next, sp, s):
-    """Dissatisfaction added when choosing state s for the walk's next vertex.
-
-    States: 0 = item unallocated, 1/2 = item given to that agent.  A
-    vertex's coverage for an agent depends on its own state and possibly
-    the state of the arc-mate feeding it; every such fact is charged at
-    the step where it first becomes determined.
-    """
-    dd = [0, 0]
-    for q in (1, 2):
-        if q in vj_graphs:
-            gno, fwd = e_j
-            if gno == q:
-                if fwd:  # arc comes in from the previous vertex
-                    if s != q and sp != q:
-                        dd[q - 1] += 1
-                else:  # this vertex is the arc's tail
-                    if s != q:
-                        dd[q - 1] += 1
-            elif e_next is not None and e_next[0] == q:
-                if e_next[1]:  # tail of the next arc
-                    if s != q:
-                        dd[q - 1] += 1
-                # else: settled one step later
-        if q in vprev_graphs:
-            gno, fwd = e_j
-            if gno == q and not fwd:  # previous vertex is this arc's head
-                if sp != q and s != q:
-                    dd[q - 1] += 1
-    return dd
+def _charge(arc, first, s_first, s_second, d1, d2):
+    """(d1, d2) plus the arc's charge, given the states of its end `first` and of the other."""
+    tail, _, q = arc
+    s_tail, s_head = (s_first, s_second) if tail == first else (s_second, s_first)
+    c = 0 if s_tail == q else 1 if s_head == q else 2
+    return (d1 + c, d2) if q == 1 else (d1, d2 + c)
 
 
-def _component_table(inst: Instance, verts, edges, closing):
+def _component_table(inst: Instance, verts, arcs):
     """All (dissat_1, dissat_2) pairs a component can realize, with decode info.
 
+    Keys are (first vertex's state, current vertex's state, d1, d2).
     Returns (pairs, finals, tables) where finals maps a pair to its
-    first-written final DP key and tables hold parent pointers.
+    first final key in sorted order and tables hold parent pointers.
     """
-    a1, a2 = inst.agents
-    member = {}
-    for v in verts:
-        ms = set()
-        if v in inst.graphs[a1].items:
-            ms.add(1)
-        if v in inst.graphs[a2].items:
-            ms.add(2)
-        member[v] = ms
-
-    def states(v):
-        return [0] + sorted(member[v])
-
-    is_cycle = closing is not None
-    edge_at = list(edges) + ([closing] if is_cycle else [])
-
-    # Keys: (anchor_state, state, d1, d2) where anchor is the first
-    # vertex's state (needed to close cycles; harmless for paths).
-    first = verts[0]
-    table0 = {}
-    for s0 in states(first):
-        d = [0, 0]
-        gno, fwd = edge_at[0]
-        if fwd and gno in member[first]:
-            if s0 != gno:
-                d[gno - 1] += 1
-        table0[(s0, s0, d[0], d[1])] = None
-    tables = [table0]
+    g1, g2 = (inst.graphs[a].items for a in inst.agents)
+    states = [[0] + [q for q, g in ((1, g1), (2, g2)) if v in g] for v in verts]
+    tables = [dict.fromkeys((s0, s0, 0, 0) for s0 in states[0])]
     for j in range(1, len(verts)):
-        e_j = edges[j - 1]
-        e_next = edge_at[j] if j < len(edge_at) else None
+        arc, prev = arcs[j - 1], verts[j - 1]
         cur = {}
-        for key in sorted(tables[j - 1]):
+        for key in sorted(tables[-1]):
             s0, sp, d1, d2 = key
-            for s in states(verts[j]):
-                dd = _step_delta(member[verts[j]], member[verts[j - 1]], e_j, e_next, sp, s)
-                nk = (s0, s, d1 + dd[0], d2 + dd[1])
+            for s in states[j]:
+                nk = (s0, s, *_charge(arc, prev, sp, s, d1, d2))
                 if nk not in cur:
                     cur[nk] = key
         tables.append(cur)
     finals: dict[tuple[int, int], tuple] = {}
     for key in sorted(tables[-1]):
-        s0, s_last, d1, d2 = key
-        if is_cycle:
-            gno, fwd_close = closing
-            q = gno
-            if fwd_close:  # arc from last vertex back to the first
-                if s0 != q and s_last != q:
-                    d1, d2 = (d1 + 1, d2) if q == 1 else (d1, d2 + 1)
-            else:  # arc from the first vertex out to the last
-                add = 0
-                if s0 != q:
-                    add += 1
-                if s_last != q and s0 != q:
-                    add += 1
-                d1, d2 = (d1 + add, d2) if q == 1 else (d1, d2 + add)
+        s0, s, d1, d2 = key
+        if len(arcs) == len(verts):  # a cycle: charge its closing arc
+            d1, d2 = _charge(arcs[-1], verts[-1], s, s0, d1, d2)
         finals.setdefault((d1, d2), key)
     return frozenset(finals), finals, tables
 
@@ -420,8 +332,8 @@ def _two_matchings_layers(inst: Instance):
     """
     _require(inst, GraphClass.DIRECTED_MATCHING, agents=2)
     infos = [
-        (verts, *_component_table(inst, verts, edges, closing))
-        for verts, edges, closing in _matching_walks(inst)
+        (verts, *_component_table(inst, verts, arcs))
+        for verts, arcs in _overlay_components(inst)
     ]
     layers: list[dict[tuple[int, int], tuple]] = [{(0, 0): None}]
     for _, pairs, _, _ in infos:

@@ -13,7 +13,6 @@ hub items "h:<i>", per-set index items "c:<j>", ground elements
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -30,6 +29,7 @@ from .core import (
     ParseError,
     PreconditionError,
     PreferenceGraph,
+    load_json,
     profile,
     validate_allocation,
 )
@@ -154,12 +154,7 @@ def satisfying_assignment(formula: Cnf3Formula) -> tuple[bool, ...] | None:
 
 def parse_x3c(text: str | bytes) -> X3CInstance:
     """Parse the JSON shape {"X": [...], "C": [[a, b, c], ...]}."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", location="$") from None
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object", location="$")
     ground = doc.get("X")

@@ -164,6 +164,36 @@ class TestSolve:
         assert json.loads(out)["value"] == 1
 
 
+UNREADABLE = {
+    "too-deep": (b"[" * 200_000, "nesting too deep"),
+    "not-utf8": (b"\xff\xfe{}", "not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "BAD", "--objective", "sum"],
+        ["classify", "BAD"],
+        ["eval", "WORKED", "BAD"],
+        ["generate", "--reduction", "x3c-stars", "BAD"],
+    ],
+    ids=["solve", "classify", "eval-allocation", "generate-x3c-stars"],
+)
+def test_unreadable_input_is_bad_input(argv, kind, worked_path, tmp_path, capsys):
+    # Over-deep nesting and bad encoding exit 2 with one line, never a traceback.
+    content, named = UNREADABLE[kind]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    paths = {"BAD": str(bad), "WORKED": worked_path}
+    code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
 class TestEval:
     def test_profile_output(self, worked_path, tmp_path, capsys):
         alloc = tmp_path / "alloc.json"

@@ -25,6 +25,7 @@ from prefalloc.core import (
     serialize_profile,
     validate_allocation,
 )
+from prefalloc.reductions import parse_x3c
 
 from conftest import graph, instance
 
@@ -208,6 +209,13 @@ def _set(path, value):
     return mutate
 
 
+def _text(text):
+    """Replace the whole document with `text` (str or bytes)."""
+    return lambda doc: text
+
+
+DEEP = "[" * 200_000
+
 # (mutation of PARSE_BASE, text the error message must contain: the
 # offending item or arc, or its location when the value has no name)
 PARSE_ERRORS = {
@@ -224,6 +232,9 @@ PARSE_ERRORS = {
     "arc-not-a-pair": (_set(["agents", 0, "arcs"], [["a", "b", "c"]]), "agents[0].arcs[0]"),
     "empty-item-id": (_set(["items"], ["a", "", "b", "c"]), "items[1]"),
     "agent-not-an-object": (_set(["agents", 1], "2"), "agents[1]"),
+    "nesting-too-deep": (_text(DEEP), "nesting too deep"),
+    "deep-but-closed": (_text('{"items": ' + "[" * 5000 + "]" * 5000 + "}"), "nesting too deep"),
+    "invalid-utf8": (_text(b'{"items": ["\xff"], "agents": []}'), "UTF-8"),
 }
 
 
@@ -231,15 +242,26 @@ PARSE_ERRORS = {
 def test_parse_error_contract(case, tmp_path, capsys):
     mutate, named = PARSE_ERRORS[case]
     doc = copy.deepcopy(PARSE_BASE)
-    mutate(doc)
-    text = json.dumps(doc)
+    text = mutate(doc) or json.dumps(doc)
     with pytest.raises(ParseError) as info:
         parse_instance(text)
     assert named in str(info.value)
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["solve", str(path), "--objective", "sum"]) == 2
     assert named in capsys.readouterr().err
+
+
+# parse_instance takes these cases in test_parse_error_contract above.
+@pytest.mark.parametrize("parse", [parse_allocation, parse_x3c])
+@pytest.mark.parametrize(
+    "text, named",
+    [("{oops", "invalid JSON"), (DEEP, "nesting too deep"), (b'["\xff"]', "UTF-8")],
+    ids=["malformed", "too-deep", "not-utf8"],
+)
+def test_other_json_parsers_raise_parse_error(parse, text, named):
+    with pytest.raises(ParseError, match=named):
+        parse(text)
 
 
 def test_rejected_instance_warns_about_nothing(recwarn):

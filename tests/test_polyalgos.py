@@ -219,6 +219,90 @@ class TestTwoMatchings:
         check_against_oracle(inst, minmax_two_matchings, "max")
 
 
+# Hand-built two-matching instances and the witness each had before the
+# program charged arcs one at a time; the witness is the first optimal
+# pair in the program's scan order, so it must not move.
+PINNED_TWO_MATCHINGS = {
+    "lone-path": (
+        {"x": graph("abcd", [("a", "b"), ("d", "c")]), "y": graph("bc", [("c", "b")])},
+        0,
+        {"x": "ad", "y": "c"},
+    ),
+    "two-cycle": (
+        {"x": graph("ab", [("a", "b")]), "y": graph("ab", [("a", "b")])},
+        1,
+        {"x": "a", "y": "b"},
+    ),
+    "six-cycle": (
+        {
+            "x": graph("abcdef", [("a", "b"), ("c", "d"), ("e", "f")]),
+            "y": graph("abcdef", [("c", "b"), ("d", "e"), ("a", "f")]),
+        },
+        2,
+        {"x": "ace", "y": "bdf"},
+    ),
+    "paths-and-cycles": (
+        {
+            "x": graph("abcdefghjk", [("a", "b"), ("c", "d"), ("e", "f"), ("h", "g"), ("j", "k")]),
+            "y": graph("abcdefgi", [("b", "a"), ("d", "e"), ("f", "c"), ("g", "i")]),
+        },
+        0,
+        {"x": "acehj", "y": "bdfg"},
+    ),
+    "empty-agent": (
+        {"x": graph("abcd", [("a", "b"), ("c", "d")]), "y": graph("", [])},
+        0,
+        {"x": "ac"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_TWO_MATCHINGS))
+def test_two_matchings_witness_is_pinned(case):
+    graphs, value, bundles = PINNED_TWO_MATCHINGS[case]
+    res = minmax_two_matchings(instance(graphs))
+    assert res.value == value
+    assert {a: "".join(sorted(items)) for a, items in res.witness.pairs} == bundles
+
+
+def alternating(n, closed, flips, first="x"):
+    """Two matchings whose overlay is one alternating path, or cycle, on n items.
+
+    Arc k joins the k-th and (k + 1)-th letters (wrapping round when
+    closed) and belongs to `first` for even k, to the other agent for odd
+    k; bit k of `flips` reverses it.
+    """
+    names = "abcdefghij"[:n]
+    arcs = {"x": [], "y": []}
+    owners = "xy" if first == "x" else "yx"
+    for k in range(n if closed else n - 1):
+        u, v = names[k], names[(k + 1) % n]
+        arcs[owners[k % 2]].append((v, u) if flips >> k & 1 else (u, v))
+    return instance({a: graph({w for arc in arcs[a] for w in arc}, arcs[a]) for a in "xy"})
+
+
+@pytest.mark.parametrize(
+    "n, closed, flips, first",
+    [
+        (4, True, 0b0000, "x"),
+        (6, True, 0b101010, "x"),
+        (8, True, 0b11001010, "x"),
+        (10, True, 0b1011001110, "x"),
+        (10, True, 0, "x"),
+        (3, False, 0b01, "y"),
+        (5, False, 0b1010, "x"),
+        (7, False, 0b110010, "y"),
+        (9, False, 0b10110101, "x"),
+        (10, False, 0b111000111, "y"),
+        (10, False, 0, "x"),
+    ],
+)
+def test_two_matchings_long_alternations_match_oracle(n, closed, flips, first):
+    inst = alternating(n, closed, flips, first)
+    assert two_matchings_profiles(inst) == exact.all_profiles(inst)
+    check_against_oracle(inst, minmax_two_matchings, "max")
+
+
 # Each polynomial route's benchmark stratum (perfbench/workloads.py):
 # randgen shape, items, agents.  The general-DAG route is checked the
 # same way in test_junction.py.
