@@ -21,44 +21,11 @@ junction count, so this is meant for instances where that count is small.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .classify import junctions
 from .core import Allocation, Instance, SizeGuardError, profile
 from .kernels import max_profit_flow
-from .polyalgos import SolveResult
-
-
-@dataclass(frozen=True)
-class _Chain:
-    agent: str
-    start: str | None  # junction feeding the first internal, None for sources
-    end: str | None  # junction fed by the last internal, None for sinks
-    internals: tuple[str, ...]
-
-
-def _chains_of(inst: Instance, agent: str, juncs: frozenset[str]) -> list[_Chain]:
-    g = inst.graphs[agent]
-
-    def walk(first: str, start: str | None) -> _Chain:
-        internals = [first]
-        while True:
-            nxt = g.out_neighbors(internals[-1])
-            if not nxt:
-                return _Chain(agent, start, None, tuple(internals))
-            if nxt[0] in juncs:
-                return _Chain(agent, start, nxt[0], tuple(internals))
-            internals.append(nxt[0])
-
-    chains = []
-    for u in sorted(juncs):
-        for w in g.out_neighbors(u):
-            if w not in juncs:
-                chains.append(walk(w, u))
-    for v in g.sorted_items:
-        if v not in juncs and g.in_degree(v) == 0:
-            chains.append(walk(v, None))
-    return chains
+from .polyalgos import SolveResult, _chain_network, _chains
 
 
 def minsum_few_junctions(
@@ -72,7 +39,7 @@ def minsum_few_junctions(
         raise SizeGuardError(
             f"{gamma} junction vertices exceed the limit {max_junctions}"
         )
-    chains = {a: _chains_of(inst, a, juncs[a]) for a in inst.agents}
+    chains = {a: _chains(inst.graphs[a], juncs[a]) for a in inst.agents}
     succ = {
         a: {v: inst.graphs[a].successors(v) for v in juncs[a]} for a in inst.agents
     }
@@ -148,14 +115,14 @@ def _evaluate_guess(inst, juncs, chains, succ, pred, case):
         for a in inst.agents
     }
 
-    def eligible(ch: _Chain) -> bool:
-        if ch.start is not None and case[(ch.agent, ch.start)] != 3:
+    def eligible(a: str, ch) -> bool:
+        if ch.start is not None and case[(a, ch.start)] != 3:
             return False
-        if ch.end is not None and case[(ch.agent, ch.end)] != 2:
+        if ch.end is not None and case[(a, ch.end)] != 2:
             return False
         return True
 
-    open_chains = {a: [ch for ch in chains[a] if eligible(ch)] for a in inst.agents}
+    open_chains = {a: [ch for ch in chains[a] if eligible(a, ch)] for a in inst.agents}
 
     # Pairs of promises one chain allocation could fulfill at once.
     pair_slots: list[tuple[str, str, str]] = []
@@ -233,32 +200,14 @@ def _solve_flow(
                 return None
 
     # The network is a DAG, as max_profit_flow requires: s -> item ->
-    # chain node -> group -> t, or straight from the chain node to t.  A
-    # chain hands out at most one item, through its capacity-1 exit arc.
-    arcs: list[tuple] = []
-    item_arc: list[tuple[str, str]] = []  # (item, agent) parallel to its arc index
-    item_nodes: set[str] = set()
-    for a in inst.agents:
-        for ci, ch in enumerate(open_chains[a]):
-            m = len(ch.internals)
-            node = ("c", a, ci)
-            for t, x in enumerate(ch.internals, start=1):
-                if x in taken:
-                    continue
-                item_nodes.add(x)
-                arcs.append((("i", x), node, 0, 1, m - t + 1))
-                item_arc.append((x, a))
-            exit_node = (
-                ("g", group_of[(a, ci)]) if (a, ci) in group_of else "t"
-            )
-            arcs.append((node, exit_node, 0, 1, 0))
-            item_arc.append(None)
-    for x in sorted(item_nodes):
-        arcs.append(("s", ("i", x), 0, 1, 0))
-        item_arc.append(None)
-    for gid in range(len(groups)):
-        arcs.append((("g", gid), "t", 1, None, 0))
-        item_arc.append(None)
+    # chain node -> group -> t, or straight from the chain node to t.
+    rows = [
+        (a, ch.items, ("g", group_of[(a, ci)]) if (a, ci) in group_of else "t")
+        for a in inst.agents
+        for ci, ch in enumerate(open_chains[a])
+    ]
+    arcs, tags = _chain_network(rows, taken)
+    arcs += [(("g", gid), "t", 1, None, 0) for gid in range(len(groups))]
 
     feasible, prof, flows = max_profit_flow(arcs, "s", "t")
     if not feasible:
@@ -266,10 +215,9 @@ def _solve_flow(
     bundles: dict[str, set[str]] = {}
     for v, a in taken.items():
         bundles.setdefault(a, set()).add(v)
-    for tag, flow in zip(item_arc, flows):
+    for tag, flow in zip(tags, flows):
         if tag is not None and flow:
-            x, a = tag
-            bundles.setdefault(a, set()).add(x)
+            bundles.setdefault(tag[0], set()).add(tag[1])
     return fixed_sat + prof, bundles
 
 

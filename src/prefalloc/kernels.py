@@ -1,11 +1,11 @@
 """Integer combinatorial kernels used by the allocation solvers.
 
-Everything here is exact integer arithmetic on small dense inputs: linear
-sum assignment, bottleneck assignment, max-weight bipartite matching,
-max-flow / min-cut, max-weight independent set in bipartite graphs, and
-max-profit flow with arc lower bounds over DAG networks (successive
-shortest source->sink paths, no artificial excess).  No floating point
-anywhere.
+Everything here is exact integer arithmetic: max-profit flow with arc
+lower bounds over DAG networks (successive shortest source->sink paths,
+no artificial excess), linear sum assignment and max-weight bipartite
+matching as thin adapters onto it, bottleneck assignment, cardinality
+matching, max-flow / min-cut, and max-weight independent set in
+bipartite graphs.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ def lsap(cost: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
 
     Requires len(rows) <= len(cols) and all entries nonnegative integers
     (callers shift their matrices if needed).  Returns (total, cols) with
-    cols[i] the column assigned to row i.  O(n^2 m).
+    cols[i] the column assigned to row i.  Solved by `max_profit_flow`:
+    s -> row at lower bound 1, row -> column at profit -cost, column -> t.
     """
     n = len(cost)
     if n == 0:
@@ -37,54 +38,11 @@ def lsap(cost: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
         raise PreconditionError("more rows than columns")
     if any(c < 0 for row in cost for c in row):
         raise PreconditionError("negative entries; shift the matrix first")
-    big = 1 + (max(max(row) for row in cost) + 1) * (n + m + 1)
-    u = [0] * (n + 1)
-    v = [0] * (m + 1)
-    p = [0] * (m + 1)  # p[j] = row matched to column j (1-indexed, 0 = free)
-    way = [0] * (m + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [big] * (m + 1)
-        used = [False] * (m + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = big
-            j1 = -1
-            row = cost[i0 - 1]
-            ui0 = u[i0]
-            for j in range(1, m + 1):
-                if not used[j]:
-                    cur = row[j - 1] - ui0 - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(m + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while True:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-            if j0 == 0:
-                break
-    cols = [-1] * n
-    total = 0
-    for j in range(1, m + 1):
-        if p[j]:
-            cols[p[j] - 1] = j - 1
-            total += cost[p[j] - 1][j - 1]
-    return total, cols
+    arcs = [(("r", i), ("c", j), 0, 1, -c) for i, row in enumerate(cost) for j, c in enumerate(row)]
+    arcs += [("s", ("r", i), 1, 1, 0) for i in range(n)]
+    arcs += [(("c", j), "t", 0, 1, 0) for j in range(m)]
+    _, profit, flows = max_profit_flow(arcs, "s", "t")
+    return -profit, [k % m for k, f in enumerate(flows[: n * m]) if f]
 
 
 # -- bipartite matching (cardinality) ---------------------------------------
@@ -210,39 +168,21 @@ def max_weight_matching(
 ) -> tuple[int, dict[Hashable, Hashable]]:
     """Maximum-weight bipartite matching (not necessarily perfect).
 
-    Weights must be nonnegative.  Reduced to one assignment problem by
-    padding with per-row "stay unmatched" columns.  Returns (weight,
-    mapping of matched left vertex -> right vertex).
+    Weights must be nonnegative.  Solved by `max_profit_flow`: s -> left,
+    left -> right at profit w, right -> t.  Returns (weight, mapping of
+    matched left vertex -> right vertex).
     """
-    if not weights:
-        return 0, {}
     if any(w < 0 for w in weights.values()):
         raise PreconditionError("negative weights")
-    lv = list(left)
-    rv = list(right)
-    lpos = {x: i for i, x in enumerate(lv)}
-    rpos = {x: j for j, x in enumerate(rv)}
+    lv, rv = dict.fromkeys(left), dict.fromkeys(right)
     for (a, b) in weights:
-        if a not in lpos or b not in rpos:
+        if a not in lv or b not in rv:
             raise PreconditionError(f"edge ({a!r}, {b!r}) off the vertex sets")
-    top = max(weights.values())
-    n = len(lv)
-    m = len(rv)
-    # Column j < m is right vertex j; columns m..m+n-1 are unmatched slots.
-    cost = [[top + 1] * (m + n) for _ in range(n)]
-    for (a, b), w in weights.items():
-        cost[lpos[a]][rpos[b]] = top - w
-    for i in range(n):
-        for j in range(m, m + n):
-            cost[i][j] = top
-    _, cols = lsap(cost)
-    matched: dict[Hashable, Hashable] = {}
-    total = 0
-    for i, j in enumerate(cols):
-        if j < m and (lv[i], rv[j]) in weights:
-            matched[lv[i]] = rv[j]
-            total += weights[(lv[i], rv[j])]
-    return total, matched
+    arcs = [(("l", a), ("r", b), 0, 1, w) for (a, b), w in weights.items()]
+    arcs += [("s", ("l", a), 0, 1, 0) for a in lv]
+    arcs += [(("r", b), "t", 0, 1, 0) for b in rv]
+    _, total, flows = max_profit_flow(arcs, "s", "t")
+    return total, {a: b for (a, b), f in zip(weights, flows) if f}
 
 
 # -- max flow / min cut ------------------------------------------------------

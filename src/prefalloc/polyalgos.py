@@ -5,18 +5,21 @@ PreconditionError outside it.  All of them return exact optima; the tests
 check them against the exhaustive reference solver.
 
 Directed matchings, single paths and path forests are all unions of
-disjoint paths: their min-sum solvers share one chain assignment, and
-min-max over single paths runs a bottleneck assignment on its rows.
+disjoint paths: their min-sum solvers share one chain assignment, a
+max-profit flow on the chain network that the junction route also
+builds, and min-max over single paths runs a bottleneck assignment on
+dense rows of the same chains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import GraphClass, misfit_agent
 from .core import Allocation, Instance, PreconditionError, profile
-from .kernels import bipartite_mwis, lbap, lsap
-from .kernels import max_weight_matching  # noqa: F401  perfbench/tracing.py wraps it by name
+from .kernels import bipartite_mwis, lbap, max_profit_flow
+from .kernels import lsap, max_weight_matching  # noqa: F401  perfbench/tracing.py wraps them by name
 
 
 @dataclass(frozen=True)
@@ -47,34 +50,88 @@ def _require(inst: Instance, shape: GraphClass, agents: int | None = None) -> No
 #
 # A directed matching is a union of disjoint paths whose components are
 # single arcs, and a single path is a union with one component, so the
-# three min-sum routes share one assignment.  Dissatisfaction splits over
-# path components, and receiving an item covers it and everything after
-# it on its path, so only a component's earliest received item matters:
-# each (agent, component) pair becomes one assignment row, whose cost
-# for an item is the item's depth on the component, else the component's
-# length, plus one "receives nothing" column per row.  Any allocation
-# gives an assignment costing its dissatisfaction (each component takes
-# its earliest received item), and the decoded allocation, which hands
-# each agent every item of its graph assigned to one of its rows, leaves
-# no component above its row's cost; so the assignment total is the
-# optimum and the witness's dissatisfaction.
+# three min-sum routes share one chain assignment.  Dissatisfaction
+# splits over path components, and receiving an item covers it and
+# everything after it on its path, so only a component's earliest
+# received item matters: handing a chain of m items its item at depth t
+# satisfies m - t of them.  So each (agent, component) chain takes at
+# most one item, each item goes to at most one chain, and the optimum
+# is the total chain size minus the most profitable such assignment.
+# Any allocation gives an assignment worth its satisfaction (each
+# component takes its earliest received item), and the decoded
+# allocation, which hands each agent the items assigned to its chains,
+# satisfies at least that much; so the difference is the optimum and
+# the witness's dissatisfaction.  The junction route hands out chain
+# items on the same network, with group exits in place of the sink.
 
 
-def _path_chains(g) -> list[list[str]]:
-    """Path components of a disjoint-paths graph, by start vertex in sorted order."""
-    chains = []
+class Chain(NamedTuple):
+    start: str | None  # junction feeding the first item, None at a source
+    items: list[str]
+    end: str | None  # junction fed by the last item, None at a sink
+
+
+def _chains(g, juncs: frozenset[str] = frozenset()) -> list[Chain]:
+    """Maximal paths of g through non-junction vertices only.
+
+    Chains leaving a junction come first, by junction in sorted order,
+    then chains from sources in item order.  Without junctions g must be
+    a union of disjoint paths, and its chains are its components.
+    """
+
+    def walk(first: str, start: str | None) -> Chain:
+        items = [first]
+        while nxt := g.out_neighbors(items[-1]):
+            if nxt[0] in juncs:
+                return Chain(start, items, nxt[0])
+            items.append(nxt[0])
+        return Chain(start, items, None)
+
+    chains = [walk(w, u) for u in sorted(juncs) for w in g.out_neighbors(u) if w not in juncs]
     for v in g.sorted_items:
-        if g.in_degree(v) == 0:
-            chain = [v]
-            while nxt := g.out_neighbors(chain[-1]):
-                chain.append(nxt[0])
-            chains.append(chain)
+        if g.in_degree(v) == 0 and v not in juncs:
+            chains.append(walk(v, None))
     return chains
 
 
+def _chain_network(rows, taken) -> tuple[list[tuple], list[tuple[str, str] | None]]:
+    """Arcs s -> item -> row node -> exit for `max_profit_flow`, and their tags.
+
+    rows are (agent, chain items, exit node); items in `taken` are left
+    out.  An item at depth t of an m-item chain earns m - t on its arc to
+    the row node, and each row node has one capacity-1 arc to its exit,
+    so a row hands out at most one item.  tags[k] is (agent, item) for an
+    item -> row arc, else None.  Arc order decides ties between equally
+    profitable flows: each row's item arcs by depth, then its exit arc,
+    rows in the given order, then the s -> item arcs in descending item
+    order.
+    """
+    arcs: list[tuple] = []
+    tags: list[tuple[str, str] | None] = []
+    item_nodes: set[str] = set()
+    for r, (a, items, exit_node) in enumerate(rows):
+        node = ("r", r)
+        m = len(items)
+        for t, x in enumerate(items):
+            if x not in taken:
+                item_nodes.add(x)
+                arcs.append((("i", x), node, 0, 1, m - t))
+                tags.append((a, x))
+        arcs.append((node, exit_node, 0, 1, 0))
+        tags.append(None)
+    for x in sorted(item_nodes, reverse=True):
+        arcs.append(("s", ("i", x), 0, 1, 0))
+        tags.append(None)
+    return arcs, tags
+
+
 def _chain_rows(inst: Instance) -> tuple[list[str], list[list[int]]]:
-    """Row owners and costs: one row per (agent, path component), in agent order."""
-    rows = [(a, chain) for a in inst.agents for chain in _path_chains(inst.graphs[a])]
+    """Row owners and dense bottleneck costs: one row per (agent, path component).
+
+    A row's cost for an item is the item's depth on the component, else
+    the component's length, plus one "receives nothing" column per row.
+    """
+    rows = [(a, ch.items) for a in inst.agents for ch in _chains(inst.graphs[a])]
     cost = []
     for _, chain in rows:
         depth = {v: i for i, v in enumerate(chain)}
@@ -83,18 +140,16 @@ def _chain_rows(inst: Instance) -> tuple[list[str], list[list[int]]]:
     return [a for a, _ in rows], cost
 
 
-def _chains_decode(inst: Instance, owners: list[str], cols: list[int]) -> Allocation:
-    bundles: dict[str, set[str]] = {}
-    for a, j in zip(owners, cols):
-        if j < len(inst.items) and inst.items[j] in inst.graphs[a].items:
-            bundles.setdefault(a, set()).add(inst.items[j])
-    return Allocation.of(bundles)
-
-
 def _minsum_chains(inst: Instance) -> SolveResult:
-    owners, cost = _chain_rows(inst)
-    total, cols = lsap(cost)
-    return SolveResult(total, _chains_decode(inst, owners, cols))
+    rows = [(a, ch.items, "t") for a in inst.agents for ch in _chains(inst.graphs[a])]
+    arcs, tags = _chain_network(rows, ())
+    _, prof, flows = max_profit_flow(arcs, "s", "t")
+    bundles: dict[str, set[str]] = {}
+    for tag, flow in zip(tags, flows):
+        if tag is not None and flow:
+            bundles.setdefault(tag[0], set()).add(tag[1])
+    size = sum(len(items) for _, items, _ in rows)
+    return SolveResult(size - prof, Allocation.of(bundles))
 
 
 def minsum_directed_matchings(inst: Instance) -> SolveResult:
@@ -124,7 +179,11 @@ def minmax_paths(inst: Instance) -> SolveResult:
     _require(inst, GraphClass.PATH)
     owners, cost = _chain_rows(inst)
     value, cols = lbap(cost)
-    return SolveResult(value, _chains_decode(inst, owners, cols))
+    bundles: dict[str, set[str]] = {}
+    for a, j in zip(owners, cols):
+        if j < len(inst.items) and inst.items[j] in inst.graphs[a].items:
+            bundles.setdefault(a, set()).add(inst.items[j])
+    return SolveResult(value, Allocation.of(bundles))
 
 
 # -- two agents with star-forest graphs ---------------------------------------

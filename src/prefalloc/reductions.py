@@ -167,9 +167,19 @@ def parse_x3c(text: str | bytes) -> X3CInstance:
         if not isinstance(t, list) or len(t) != 3:
             raise ParseError("each set needs exactly 3 elements", location=f"C[{pos}]")
     return X3CInstance(
-        tuple(str(e) for e in ground),
-        tuple(tuple(str(x) for x in t) for t in sets_),
+        tuple(_element(e, f"X[{i}]") for i, e in enumerate(ground)),
+        tuple(
+            tuple(_element(x, f"C[{pos}][{j}]") for j, x in enumerate(t))
+            for pos, t in enumerate(sets_)
+        ),
     )
+
+
+def _element(value, location: str) -> str:
+    """An X3C element: a string, or an integer read as its decimal string."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ParseError("elements must be strings or integers", location)
+    return str(value)
 
 
 def parse_dimacs(text: str | bytes) -> Cnf3Formula:
@@ -179,7 +189,10 @@ def parse_dimacs(text: str | bytes) -> Cnf3Formula:
     and 0-terminated clauses that may span lines.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"invalid UTF-8: {e.reason} at byte {e.start}") from None
     header: tuple[int, int] | None = None
     tokens: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

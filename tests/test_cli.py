@@ -194,6 +194,28 @@ def test_unreadable_input_is_bad_input(argv, kind, worked_path, tmp_path, capsys
     assert named in err
 
 
+BAD_SOURCES = {
+    "x3c-null": ("x3c-stars", b'{"X": ["a", null, "c"], "C": []}', "X[1]"),
+    "x3c-bool": ("x3c-stars", b'{"X": ["a", "b", "c"], "C": [["a", "b", true]]}', "C[0][2]"),
+    "x3c-float": ("x3c-stars", b'{"X": ["a", "b", 1.5], "C": []}', "X[2]"),
+    "x3c-array": ("x3c-stars", b'{"X": ["a", "b", "c"], "C": [[[2], "b", "c"]]}', "C[0][0]"),
+    "x3c-object": ("x3c-stars", b'{"X": [{}, "b", "c"], "C": []}', "X[0]"),
+    "dimacs-not-utf8": ("sat-2agents", b"p cnf 1 1\n1 1 \xff 0\n", "not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SOURCES))
+def test_bad_reduction_source_is_bad_input(case, tmp_path, capsys):
+    kind, content, named = BAD_SOURCES[case]
+    bad = tmp_path / "source"
+    bad.write_bytes(content)
+    code, out, err = run(capsys, "generate", "--reduction", kind, str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
 class TestEval:
     def test_profile_output(self, worked_path, tmp_path, capsys):
         alloc = tmp_path / "alloc.json"

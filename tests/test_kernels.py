@@ -28,6 +28,24 @@ def brute_assignment(cost, aggregate):
     return best
 
 
+def subset_dp_assignment(cost):
+    """Least total cost by a DP over column subsets: best[mask] assigns
+    the first popcount(mask) rows to exactly the columns in mask."""
+    n, m = len(cost), len(cost[0])
+    best = {0: 0}
+    for i in range(n):
+        nxt = {}
+        for mask, val in best.items():
+            for j in range(m):
+                if not mask >> j & 1:
+                    key = mask | 1 << j
+                    cand = val + cost[i][j]
+                    if cand < nxt.get(key, cand + 1):
+                        nxt[key] = cand
+        best = nxt
+    return min(best.values())
+
+
 def brute_max_profit_flow(arcs, source, sink):
     """(feasible, profit) over every integer flow vector within the bounds.
 
@@ -121,6 +139,20 @@ class TestLsap:
     def test_rejects_more_rows_than_columns(self):
         with pytest.raises(PreconditionError):
             lsap([[1], [2]])
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_subset_dp(self, seed):
+        # Beyond the permutation brute force: up to 8 x 12, costs drawn
+        # from a few values so that many assignments tie.
+        rng = random.Random(400 + seed)
+        n = rng.randint(5, 8)
+        m = rng.randint(n, 12)
+        values = rng.sample(range(10), rng.randint(1, 3))
+        cost = [[rng.choice(values) for _ in range(m)] for _ in range(n)]
+        total, cols = lsap(cost)
+        assert len(cols) == n and len(set(cols)) == n
+        assert total == sum(cost[i][c] for i, c in enumerate(cols))
+        assert total == subset_dp_assignment(cost)
 
 
 class TestLbap:

@@ -7,6 +7,7 @@ import pytest
 from prefalloc import exact, randgen
 from prefalloc.classify import ROUTES, GraphClass, dispatch
 from prefalloc.core import PreconditionError, profile, serialize_instance, validate_allocation
+from prefalloc.junction import minsum_few_junctions
 from prefalloc.polyalgos import (
     minmax_paths,
     minmax_two_matchings,
@@ -255,6 +256,56 @@ PINNED_TWO_MATCHINGS = {
         {"x": "ac"},
     ),
 }
+
+
+# Chain-route witnesses captured from the flow assignment; the value must
+# also agree with the junction solver, which sees no junction here.
+PINNED_CHAINS = {
+    "two-on-one-path": (
+        minsum_paths,
+        {"x": graph("abc", [("a", "b"), ("b", "c")]), "y": graph("abc", [("a", "b"), ("b", "c")])},
+        1,
+        {"x": "b", "y": "a"},
+    ),
+    "contested-arc": (
+        minsum_directed_matchings,
+        {
+            "x": graph("ab", [("a", "b")]),
+            "y": graph("abcd", [("a", "b"), ("c", "d")]),
+            "z": graph("cd", [("d", "c")]),
+        },
+        1,
+        {"x": "b", "y": "ac", "z": "d"},
+    ),
+    "isolated-vs-path": (
+        minsum_disjoint_paths,
+        {"x": graph("abcd", [("b", "c"), ("c", "d")]), "y": graph("ab", [("a", "b")]), "z": graph("a")},
+        2,
+        {"x": "b", "y": "a"},
+    ),
+    "mixed-components": (
+        minsum_disjoint_paths,
+        {
+            "w": graph("abcdefg", [("a", "b"), ("b", "c"), ("e", "f")]),
+            "x": graph("bcdg", [("d", "b"), ("b", "c")]),
+            "y": graph("acef", [("c", "a"), ("f", "e")]),
+            "z": graph("dg", [("g", "d")]),
+        },
+        3,
+        {"w": "ae", "x": "d", "y": "cf", "z": "g"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CHAINS))
+def test_chain_witness_is_pinned(case):
+    solver, graphs, value, bundles = PINNED_CHAINS[case]
+    inst = instance(graphs)
+    res = solver(inst)
+    assert res.value == value
+    assert {a: "".join(sorted(items)) for a, items in res.witness.pairs} == bundles
+    assert profile(inst, res.witness).total == value
+    assert minsum_few_junctions(inst).value == value
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_TWO_MATCHINGS))

@@ -137,6 +137,27 @@ class TestParsers:
         with pytest.raises(ParseError):
             parse_x3c('{"X": ["e1"], "C": ["e1"]}')
 
+    def test_parse_x3c_accepts_integer_elements(self):
+        text = json.dumps({"X": [1, 2, "e3"], "C": [[1, 2, "e3"]] * 3})
+        assert parse_x3c(text).elements == ("1", "2", "e3")
+
+    @pytest.mark.parametrize(
+        "doc,location",
+        [
+            ({"X": ["a", None, "c"], "C": []}, "X[1]"),
+            ({"X": [True, "b", "c"], "C": []}, "X[0]"),
+            ({"X": ["a", "b", 3.0], "C": []}, "X[2]"),
+            ({"X": ["a", "b", "c"], "C": [["a", "b", [2]]]}, "C[0][2]"),
+            ({"X": ["a", "b", "c"], "C": [list("abc"), ["a", {}, "c"]]}, "C[1][1]"),
+            ({"X": ["a", "b", "c"], "C": [["a", "b", False]]}, "C[0][2]"),
+        ],
+    )
+    def test_parse_x3c_rejects_other_element_types(self, doc, location):
+        with pytest.raises(ParseError) as info:
+            parse_x3c(json.dumps(doc))
+        assert info.value.location == location
+        assert "strings or integers" in str(info.value)
+
     def test_parse_dimacs_basic(self):
         text = "c comment\np cnf 4 2\n1 -3 -4 0\n-1 2 -4 0\n"
         assert parse_dimacs(text) == SAT
@@ -160,6 +181,13 @@ class TestParsers:
     def test_parse_dimacs_rejects_junk_token(self):
         with pytest.raises(ParseError):
             parse_dimacs("p cnf 3 1\n1 two 3 0\n")
+
+    def test_parse_dimacs_bytes(self):
+        assert parse_dimacs(b"p cnf 3 1\n1 2 3 0\n") == Cnf3Formula(3, ((1, 2, 3),))
+
+    def test_parse_dimacs_rejects_invalid_utf8(self):
+        with pytest.raises(ParseError, match="invalid UTF-8: .* at byte 14"):
+            parse_dimacs(b"p cnf 1 1\n1 1 \xff 0\n")
 
 
 class TestOutStars:
