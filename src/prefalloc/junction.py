@@ -16,16 +16,41 @@ max-profit flow: each item may go to one agent, each chain contributes at
 most one handed-out item, and promised coverage from cases 2 and 3 turns
 into lower bounds.  The guess count is exponential only in the total
 junction count, so this is meant for instances where that count is small.
+
+Each agent's consistency rules read only its own junctions, so each
+agent's consistent cases are built once and a guess is one case per
+agent, with no junction received by two agents.  Before its flows, a
+guess is bounded by its fixed satisfaction plus the smaller of two sums:
+over open chains, the gain of the chain's first item not taken, and over
+items not taken, their best gain on any open chain.  Every flow hands
+out at most one item per chain and each item at most once, so neither
+sum can be beaten.  A guess whose bound does not exceed the incumbent is
+skipped, and a guess stops at the first pick that reaches its bound.
+Only a strictly better guess or pick replaces the best, so neither skip
+changes which optimum, the first in guess order, is returned.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 from .classify import junctions
 from .core import Allocation, Instance, SizeGuardError, profile
 from .kernels import max_profit_flow
-from .polyalgos import SolveResult, _chain_network, _chains
+from .polyalgos import Chain, SolveResult, _chain_network, _chains
+
+
+class _Case(NamedTuple):
+    """One consistent choice of cases at one agent's junctions."""
+
+    taken: list[str]  # junctions the agent receives (case 1), sorted
+    sat: int  # items covered by its case-1 and case-2 junctions
+    chains: list[Chain]  # open chains: every end the guess allows
+    need3: list[str]  # case-3 junctions a chain must keep, sorted
+    need2: list[str]  # case-2 junctions a chain must keep, sorted
+    pairs: list[tuple[str, str]]  # (case-3, case-2) promises one chain may keep
+    gain: dict[str, int]  # gain m - t of each item at depth t of an m-item open chain
 
 
 def minsum_few_junctions(
@@ -33,178 +58,165 @@ def minsum_few_junctions(
 ) -> SolveResult:
     """Exact min-sum solver parameterized by the total junction count."""
     juncs = {a: junctions(inst.graphs[a]) for a in inst.agents}
-    slots = [(a, v) for a in inst.agents for v in sorted(juncs[a])]
-    gamma = len(slots)
+    gamma = sum(len(js) for js in juncs.values())
     if max_junctions is not None and gamma > max_junctions:
         raise SizeGuardError(
             f"{gamma} junction vertices exceed the limit {max_junctions}"
         )
-    chains = {a: _chains(inst.graphs[a], juncs[a]) for a in inst.agents}
-    succ = {
-        a: {v: inst.graphs[a].successors(v) for v in juncs[a]} for a in inst.agents
-    }
-    pred = {
-        a: {v: inst.graphs[a].predecessors(v) for v in juncs[a]} for a in inst.agents
-    }
+    # Guesses run through the agents in order, each over its sorted
+    # junctions, so this product is the product over all (agent, junction)
+    # slots with the infeasible local cases left out.
+    cases = [_agent_cases(inst.graphs[a], sorted(juncs[a])) for a in inst.agents]
     total_items = sum(len(inst.graphs[a].items) for a in inst.agents)
 
-    best: tuple[int, dict[str, set[str]]] | None = None
-
-    for assignment in itertools.product((1, 2, 3, 4), repeat=gamma):
-        case = {slot: c for slot, c in zip(slots, assignment)}
-        result = _evaluate_guess(inst, juncs, chains, succ, pred, case)
-        if result is None:
+    best_sat, best = -1, None
+    for combo in itertools.product(*cases):
+        guess = dict(zip(inst.agents, combo))
+        taken = _taken(guess)
+        if taken is None:
             continue
-        claimed_sat, bundles = result
-        value = total_items - claimed_sat
-        if best is None or value < best[0]:
-            best = (value, bundles)
+        bound = _bound(guess, taken)
+        if bound <= best_sat:
+            continue
+        result = _evaluate_guess(guess, taken, bound)
+        if result is not None and result[0] > best_sat:
+            best_sat, best = result
     assert best is not None  # the all-4 guess is always feasible
-    value, bundles = best
-    witness = _minimalize(inst, bundles)
+    witness = _minimalize(inst, best)
+    value = total_items - best_sat
     got = profile(inst, witness)
     assert got.total == value, "claimed optimum does not match its witness"
     return SolveResult(value, witness)
 
 
-def _evaluate_guess(inst, juncs, chains, succ, pred, case):
-    """Best claimed satisfaction under one case guess, or None if infeasible."""
-    # No item may be taken outright by two agents.
+def _agent_cases(g, js: list[str]) -> list[_Case]:
+    """Consistent cases at the junctions js of one agent's graph g, in guess order."""
+    chains = _chains(g, frozenset(js))
+    succ = {v: g.successors(v) for v in js}
+    pred = {v: g.predecessors(v) for v in js}
+    out = []
+    for assignment in itertools.product((1, 2, 3, 4), repeat=len(js)):
+        case = dict(zip(js, assignment))
+        by_case = {c: {v for v in js if case[v] == c} for c in (1, 2, 3, 4)}
+        taken, exposed, dead = by_case[1], by_case[3], by_case[4]
+        covered = taken | by_case[2]
+        # Anything below a covered junction is covered too, and a dead cone
+        # admits no allocation above or below the junction.
+        if any(succ[u] & (exposed | dead) for u in covered):
+            continue
+        if any(succ[w] & (taken | exposed) for w in dead):
+            continue
+        auto3 = {v for v in exposed if succ[v] & (taken | exposed)}
+        auto2 = {v for v in by_case[2] if pred[v] & covered}
+        open_chains = [
+            ch
+            for ch in chains
+            if (ch.start is None or case[ch.start] == 3)
+            and (ch.end is None or case[ch.end] == 2)
+        ]
+        linking = {(ch.start, ch.end) for ch in open_chains}
+        # Pairs of promises one chain allocation could fulfill at once.
+        pairs = [
+            (v1, v2)
+            for v1 in sorted(exposed)
+            for v2 in sorted(by_case[2])
+            if (v1, v2) in linking and not (v1 in auto3 and v2 in auto2)
+        ]
+        gain = {
+            x: len(ch.items) - t for ch in open_chains for t, x in enumerate(ch.items)
+        }
+        out.append(
+            _Case(
+                sorted(taken),
+                len(g.dominated_set(covered)),
+                open_chains,
+                sorted(exposed - auto3),
+                sorted(by_case[2] - auto2),
+                pairs,
+                gain,
+            )
+        )
+    return out
+
+
+def _taken(guess: dict[str, _Case]) -> dict[str, str] | None:
+    """Junction -> the agent receiving it, or None if two agents take one."""
     taken: dict[str, str] = {}
-    for (a, v), c in case.items():
-        if c == 1:
+    for a, c in guess.items():
+        for v in c.taken:
             if v in taken:
                 return None
             taken[v] = a
-    by_case = {
-        a: {
-            c: {v for v in juncs[a] if case[(a, v)] == c}
-            for c in (1, 2, 3, 4)
-        }
-        for a in inst.agents
-    }
-    for a in inst.agents:
-        covered = by_case[a][1] | by_case[a][2]
-        exposed = by_case[a][3]
-        dead = by_case[a][4]
-        for u in covered:
-            # Anything below a covered junction is covered too.
-            if succ[a][u] & exposed:
-                return None
-            if succ[a][u] & dead:
-                return None
-        for w in dead:
-            # A dead cone admits no allocation above or below the junction.
-            if succ[a][w] & (by_case[a][1] | exposed):
-                return None
+    return taken
 
-    auto3 = {
-        a: {
-            v
-            for v in by_case[a][3]
-            if succ[a][v] & (by_case[a][1] | by_case[a][3])
-        }
-        for a in inst.agents
-    }
-    auto2 = {
-        a: {
-            v
-            for v in by_case[a][2]
-            if pred[a][v] & (by_case[a][1] | by_case[a][2])
-        }
-        for a in inst.agents
-    }
 
-    def eligible(a: str, ch) -> bool:
-        if ch.start is not None and case[(a, ch.start)] != 3:
-            return False
-        if ch.end is not None and case[(a, ch.end)] != 2:
-            return False
-        return True
+def _bound(guess: dict[str, _Case], taken: dict[str, str]) -> int:
+    """Upper bound on the claimed satisfaction of every flow of the guess."""
+    by_chain = 0
+    by_item: dict[str, int] = {}  # item -> its best gain on an open chain
+    for c in guess.values():
+        for ch in c.chains:
+            by_chain += next(
+                (len(ch.items) - t for t, x in enumerate(ch.items) if x not in taken), 0
+            )
+        for x, gx in c.gain.items():
+            if x not in taken and gx > by_item.get(x, 0):
+                by_item[x] = gx
+    fixed = sum(c.sat for c in guess.values())
+    return fixed + min(by_chain, sum(by_item.values()))
 
-    open_chains = {a: [ch for ch in chains[a] if eligible(a, ch)] for a in inst.agents}
 
-    # Pairs of promises one chain allocation could fulfill at once.
-    pair_slots: list[tuple[str, str, str]] = []
-    for a in inst.agents:
-        linking = {
-            (ch.start, ch.end)
-            for ch in open_chains[a]
-            if ch.start is not None and ch.end is not None
-        }
-        for v1 in sorted(by_case[a][3]):
-            for v2 in sorted(by_case[a][2]):
-                if (v1, v2) in linking and not (v1 in auto3[a] and v2 in auto2[a]):
-                    pair_slots.append((a, v1, v2))
-
-    # Items covered by the junctions an agent receives or is covered at.
-    fixed_sat = sum(
-        len(inst.graphs[a].dominated_set(by_case[a][1] | by_case[a][2]))
-        for a in inst.agents
-    )
+def _evaluate_guess(guess, taken, bound):
+    """Best claimed satisfaction and bundles under one guess, or None if infeasible."""
+    pair_slots = [(a, v1, v2) for a, c in guess.items() for v1, v2 in c.pairs]
     best = None
     for picks in itertools.product((False, True), repeat=len(pair_slots)):
         mandatory = {ps for ps, on in zip(pair_slots, picks) if on}
-        got = _solve_flow(
-            inst, by_case, auto2, auto3, open_chains, taken, mandatory, fixed_sat
-        )
-        if got is None:
-            continue
-        if best is None or got[0] > best[0]:
+        got = _solve_flow(guess, taken, mandatory)
+        if got is not None and (best is None or got[0] > best[0]):
             best = got
+            if best[0] >= bound:
+                break
     return best
 
 
-def _solve_flow(
-    inst, by_case, auto2, auto3, open_chains, taken, mandatory, fixed_sat
-):
+def _solve_flow(guess, taken, mandatory):
     """Claimed satisfaction and bundles for one fully specified guess."""
     # Chain groups that must hand out at least one item.
     groups: list[list[tuple[str, int]]] = []  # members are (agent, chain index)
     group_of: dict[tuple[str, int], int] = {}
 
-    def add_group(members: list[tuple[str, int]]) -> bool:
+    def add_group(a: str, start: str | None, end: str | None) -> bool:
+        members = [
+            (a, ci)
+            for ci, ch in enumerate(guess[a].chains)
+            if ch.start == start and ch.end == end
+        ]
         if not members:
             return False
-        gid = len(groups)
-        groups.append(members)
         for m in members:
-            group_of[m] = gid
+            group_of[m] = len(groups)
+        groups.append(members)
         return True
 
     for a, v1, v2 in sorted(mandatory):
-        members = [
-            (a, ci)
-            for ci, ch in enumerate(open_chains[a])
-            if ch.start == v1 and ch.end == v2
-        ]
-        add_group(members)
-    for a in inst.agents:
+        add_group(a, v1, v2)
+    for a, c in guess.items():
         paired3 = {v1 for (aa, v1, _) in mandatory if aa == a}
         paired2 = {v2 for (aa, _, v2) in mandatory if aa == a}
-        for v1 in sorted(by_case[a][3] - auto3[a] - paired3):
-            members = [
-                (a, ci)
-                for ci, ch in enumerate(open_chains[a])
-                if ch.start == v1 and ch.end is None
-            ]
-            if not add_group(members):
+        for v1 in c.need3:
+            if v1 not in paired3 and not add_group(a, v1, None):
                 return None  # promise cannot be kept on its own
-        for v2 in sorted(by_case[a][2] - auto2[a] - paired2):
-            members = [
-                (a, ci)
-                for ci, ch in enumerate(open_chains[a])
-                if ch.start is None and ch.end == v2
-            ]
-            if not add_group(members):
+        for v2 in c.need2:
+            if v2 not in paired2 and not add_group(a, None, v2):
                 return None
 
     # The network is a DAG, as max_profit_flow requires: s -> item ->
     # chain node -> group -> t, or straight from the chain node to t.
     rows = [
         (a, ch.items, ("g", group_of[(a, ci)]) if (a, ci) in group_of else "t")
-        for a in inst.agents
-        for ci, ch in enumerate(open_chains[a])
+        for a, c in guess.items()
+        for ci, ch in enumerate(c.chains)
     ]
     arcs, tags = _chain_network(rows, taken)
     arcs += [(("g", gid), "t", 1, None, 0) for gid in range(len(groups))]
@@ -218,7 +230,7 @@ def _solve_flow(
     for tag, flow in zip(tags, flows):
         if tag is not None and flow:
             bundles.setdefault(tag[0], set()).add(tag[1])
-    return fixed_sat + prof, bundles
+    return sum(c.sat for c in guess.values()) + prof, bundles
 
 
 def _minimalize(inst: Instance, bundles: dict[str, set[str]]) -> Allocation:

@@ -56,8 +56,9 @@ class X3CInstance:
         object.__setattr__(self, "triples", triples)
         if not elements or len(elements) % 3:
             raise PreconditionError("ground set size must be a positive multiple of 3")
-        if len(set(elements)) != len(elements):
-            raise PreconditionError("ground set has duplicate elements")
+        dup = sorted(e for e, n in Counter(elements).items() if n > 1)
+        if dup:
+            raise PreconditionError(f"ground set has duplicate element {dup[0]!r}")
         pool = set(elements)
         seen: Counter = Counter()
         for t in triples:
@@ -166,8 +167,14 @@ def parse_x3c(text: str | bytes) -> X3CInstance:
     for pos, t in enumerate(sets_):
         if not isinstance(t, list) or len(t) != 3:
             raise ParseError("each set needs exactly 3 elements", location=f"C[{pos}]")
+    elements: dict[str, None] = {}
+    for i, e in enumerate(ground):
+        x = _element(e, f"X[{i}]")
+        if x in elements:
+            raise ParseError(f"duplicate element {x!r}", f"X[{i}]")
+        elements[x] = None
     return X3CInstance(
-        tuple(_element(e, f"X[{i}]") for i, e in enumerate(ground)),
+        tuple(elements),
         tuple(
             tuple(_element(x, f"C[{pos}][{j}]") for j, x in enumerate(t))
             for pos, t in enumerate(sets_)

@@ -200,6 +200,11 @@ BAD_SOURCES = {
     "x3c-float": ("x3c-stars", b'{"X": ["a", "b", 1.5], "C": []}', "X[2]"),
     "x3c-array": ("x3c-stars", b'{"X": ["a", "b", "c"], "C": [[[2], "b", "c"]]}', "C[0][0]"),
     "x3c-object": ("x3c-stars", b'{"X": [{}, "b", "c"], "C": []}', "X[0]"),
+    "x3c-duplicate": (
+        "x3c-stars",
+        b'{"X": [1, "1", "a"], "C": [[1, "1", "a"]]}',
+        "duplicate element '1' (at X[1])",
+    ),
     "dimacs-not-utf8": ("sat-2agents", b"p cnf 1 1\n1 1 \xff 0\n", "not UTF-8"),
 }
 

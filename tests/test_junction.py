@@ -1,18 +1,27 @@
 """Junction-parameterized exact min-sum solver."""
 
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
 
-from prefalloc import exact, randgen
-from prefalloc.classify import junction_count
+from prefalloc import exact, junction, randgen
+from prefalloc.classify import junction_count, junctions
 from prefalloc.core import (
     SizeGuardError,
     profile,
     serialize_instance,
     validate_allocation,
 )
-from prefalloc.junction import minsum_few_junctions
+from prefalloc.junction import (
+    _agent_cases,
+    _bound,
+    _solve_flow,
+    _taken,
+    minsum_few_junctions,
+)
 from prefalloc.polyalgos import minsum_disjoint_paths
 
 from conftest import graph, instance
@@ -89,3 +98,73 @@ def test_matches_ilp_at_benchmark_size(reference, seed):
     assert validate_allocation(inst, res.witness) == []
     assert profile(inst, res.witness).total == res.value
     assert res.value == reference["optimum"](serialize_instance(inst), "sum")
+
+
+def _junction_draw(seed: int):
+    """A bounded draw for even seeds, a general DAG for odd ones; 1 <= gamma <= 4."""
+    rng = random.Random(seed)
+    while True:
+        if seed % 2 == 0:
+            inst = randgen.junction_bounded_instance(
+                rng, rng.randint(3, 10), rng.randint(1, 4), max_junctions=4
+            )
+        else:
+            inst = randgen.random_instance(rng, "dag", rng.randint(2, 7), rng.randint(1, 3))
+        if 1 <= junction_count(inst) <= 4:
+            return inst
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_bound_caps_every_flow_of_a_guess(seed):
+    inst = _junction_draw(seed)
+    cases = [
+        _agent_cases(inst.graphs[a], sorted(junctions(inst.graphs[a])))
+        for a in inst.agents
+    ]
+    for combo in itertools.product(*cases):
+        guess = dict(zip(inst.agents, combo))
+        taken = _taken(guess)
+        if taken is None:
+            continue
+        bound = _bound(guess, taken)
+        pair_slots = [(a, v1, v2) for a, c in guess.items() for v1, v2 in c.pairs]
+        for k in range(len(pair_slots) + 1):
+            for mandatory in itertools.combinations(pair_slots, k):
+                got = _solve_flow(guess, taken, set(mandatory))
+                assert got is None or got[0] <= bound
+
+
+# sha256 of the (value, witness) list over _junction_draw(0..199), taken
+# from the solver that ran every guess's flows: skipping guesses and picks
+# must keep the first optimum in guess order.
+PINNED_DIGEST = "e09627939b7cf8194c43827c13f31ad09d8481c0c06e2b8592f609d280222e9d"
+
+
+def test_first_optimum_is_pinned():
+    got = []
+    for seed in range(200):
+        res = minsum_few_junctions(_junction_draw(seed))
+        got.append([res.value, [[a, sorted(items)] for a, items in res.witness.pairs]])
+    digest = hashlib.sha256(json.dumps(got).encode()).hexdigest()
+    assert digest == PINNED_DIGEST
+
+
+def test_flow_call_count_regression(monkeypatch):
+    # A fixed gamma = 3 instance at the benchmark's size: running every
+    # guess's flows takes 60 max_profit_flow calls; bounding each guess
+    # first leaves 6.
+    rng = random.Random(9)
+    inst = randgen.junction_bounded_instance(rng, 12, 6, 3)
+    while junction_count(inst) != 3:
+        inst = randgen.junction_bounded_instance(rng, 12, 6, 3)
+    calls = 0
+    flow = junction.max_profit_flow
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return flow(*args)
+
+    monkeypatch.setattr(junction, "max_profit_flow", counting)
+    assert minsum_few_junctions(inst).value == 6
+    assert calls <= 6

@@ -56,7 +56,7 @@ class TestX3CInstance:
             X3CInstance(("e1", "e2"), ())
 
     def test_rejects_duplicate_elements(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="duplicate element 'e1'"):
             X3CInstance(("e1", "e1", "e2"), (("e1", "e1", "e2"),) * 3)
 
     def test_rejects_triple_with_repeats(self):
@@ -140,6 +140,13 @@ class TestParsers:
     def test_parse_x3c_accepts_integer_elements(self):
         text = json.dumps({"X": [1, 2, "e3"], "C": [[1, 2, "e3"]] * 3})
         assert parse_x3c(text).elements == ("1", "2", "e3")
+
+    def test_parse_x3c_names_duplicate_element(self):
+        # The integer 1 and the string "1" are one element.
+        with pytest.raises(ParseError) as info:
+            parse_x3c(json.dumps({"X": [1, "1", "a"], "C": [[1, "1", "a"]]}))
+        assert info.value.location == "X[1]"
+        assert str(info.value) == "duplicate element '1' (at X[1])"
 
     @pytest.mark.parametrize(
         "doc,location",
