@@ -19,15 +19,27 @@ junction count, so this is meant for instances where that count is small.
 
 Each agent's consistency rules read only its own junctions, so each
 agent's consistent cases are built once and a guess is one case per
-agent, with no junction received by two agents.  Before its flows, a
-guess is bounded by its fixed satisfaction plus the smaller of two sums:
-over open chains, the gain of the chain's first item not taken, and over
-items not taken, their best gain on any open chain.  Every flow hands
-out at most one item per chain and each item at most once, so neither
-sum can be beaten.  A guess whose bound does not exceed the incumbent is
-skipped, and a guess stops at the first pick that reaches its bound.
-Only a strictly better guess or pick replaces the best, so neither skip
-changes which optimum, the first in guess order, is returned.
+agent, with no junction received by two agents.  A case is dropped when
+it is built if one of its case-2 or case-3 promises has neither a chain
+of its own nor a pair slot to keep it, since every flow of every guess
+holding it would fail.
+
+Before its flows, a guess is bounded by its fixed satisfaction plus an
+upper bound on its flows.  Every flow, whatever its pair picks, is a
+matching of items not taken to open chains, where item x at depth t of
+an m-item chain gains m - t; the promises only add lower bounds.  So any
+prices p_x, q_c >= 0 with p_x + q_c >= gain(x, c) on every such pair
+cap it at sum p + sum q, by weak duality of the assignment relaxation.
+Three price choices are taken.  With p = 0, q_c is the gain of chain
+c's first item not taken; with q = 0, p_x is the best gain of item x on
+any open chain.  The third is one round: with p0_x the second-best gain
+of x over the open chains (0 on one chain), q_c is the largest
+gain(x, c) - p0_x on c, clamped at 0, and p_x is then the least price
+that covers every chain of x.  The bound uses the smallest of the three
+sums.  A guess whose bound does not exceed the incumbent is skipped, and
+a guess stops at the first pick that reaches its bound.  Only a strictly
+better guess or pick replaces the best, so neither skip changes which
+optimum, the first in guess order, is returned.
 """
 
 from __future__ import annotations
@@ -50,7 +62,7 @@ class _Case(NamedTuple):
     need3: list[str]  # case-3 junctions a chain must keep, sorted
     need2: list[str]  # case-2 junctions a chain must keep, sorted
     pairs: list[tuple[str, str]]  # (case-3, case-2) promises one chain may keep
-    gain: dict[str, int]  # gain m - t of each item at depth t of an m-item open chain
+    rows: list[list[tuple[str, int]]]  # per open chain, (item, gain m - t) by depth t
 
 
 def minsum_few_junctions(
@@ -122,18 +134,25 @@ def _agent_cases(g, js: list[str]) -> list[_Case]:
             for v2 in sorted(by_case[2])
             if (v1, v2) in linking and not (v1 in auto3 and v2 in auto2)
         ]
-        gain = {
-            x: len(ch.items) - t for ch in open_chains for t, x in enumerate(ch.items)
-        }
+        need3, need2 = sorted(exposed - auto3), sorted(by_case[2] - auto2)
+        # A promise that neither a chain of its own nor a pair can keep
+        # fails in every flow of every guess holding this case.
+        keeps3 = {v1 for v1, v2 in linking if v2 is None} | {v1 for v1, _ in pairs}
+        keeps2 = {v2 for v1, v2 in linking if v1 is None} | {v2 for _, v2 in pairs}
+        if not (keeps3.issuperset(need3) and keeps2.issuperset(need2)):
+            continue
+        rows = [
+            [(x, len(ch.items) - t) for t, x in enumerate(ch.items)] for ch in open_chains
+        ]
         out.append(
             _Case(
                 sorted(taken),
                 len(g.dominated_set(covered)),
                 open_chains,
-                sorted(exposed - auto3),
-                sorted(by_case[2] - auto2),
+                need3,
+                need2,
                 pairs,
-                gain,
+                rows,
             )
         )
     return out
@@ -152,18 +171,40 @@ def _taken(guess: dict[str, _Case]) -> dict[str, str] | None:
 
 def _bound(guess: dict[str, _Case], taken: dict[str, str]) -> int:
     """Upper bound on the claimed satisfaction of every flow of the guess."""
-    by_chain = 0
-    by_item: dict[str, int] = {}  # item -> its best gain on an open chain
-    for c in guess.values():
-        for ch in c.chains:
-            by_chain += next(
-                (len(ch.items) - t for t, x in enumerate(ch.items) if x not in taken), 0
-            )
-        for x, gx in c.gain.items():
-            if x not in taken and gx > by_item.get(x, 0):
-                by_item[x] = gx
+    rows = [
+        row
+        for c in guess.values()
+        for full in c.rows
+        if (row := [(x, gx) for x, gx in full if x not in taken])
+    ]
+    best: dict[str, int] = {}  # item -> its best gain on an open chain
+    second: dict[str, int] = {}  # item -> its second-best gain, 0 on one chain
+    for row in rows:
+        for x, gx in row:
+            bx = best.get(x, 0)
+            if gx > bx:
+                best[x], second[x] = gx, bx
+            elif gx > second.get(x, 0):
+                second[x] = gx
+    # One round of prices: q_c against the second-best gains, then p_x
+    # against q.  A chain or an item may hand out nothing, so neither
+    # price may go below 0, and q_c starts there.
+    q = []
+    for row in rows:
+        qc = 0
+        for x, gx in row:
+            if (d := gx - second.get(x, 0)) > qc:
+                qc = d
+        q.append(qc)
+    p: dict[str, int] = {}
+    for row, qc in zip(rows, q):
+        for x, gx in row:
+            if gx - qc > p.get(x, 0):
+                p[x] = gx - qc
+    by_chain = sum(row[0][1] for row in rows)
+    by_price = sum(q) + sum(p.values())
     fixed = sum(c.sat for c in guess.values())
-    return fixed + min(by_chain, sum(by_item.values()))
+    return fixed + min(by_chain, sum(best.values()), by_price)
 
 
 def _evaluate_guess(guess, taken, bound):

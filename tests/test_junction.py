@@ -22,7 +22,8 @@ from prefalloc.junction import (
     _taken,
     minsum_few_junctions,
 )
-from prefalloc.polyalgos import minsum_disjoint_paths
+from prefalloc.kernels import max_profit_flow
+from prefalloc.polyalgos import _chain_network, minsum_disjoint_paths
 
 from conftest import graph, instance
 
@@ -114,9 +115,8 @@ def _junction_draw(seed: int):
             return inst
 
 
-@pytest.mark.parametrize("seed", range(100))
-def test_bound_caps_every_flow_of_a_guess(seed):
-    inst = _junction_draw(seed)
+def _guesses(inst):
+    """(guess, taken) for every guess of inst with no junction taken twice."""
     cases = [
         _agent_cases(inst.graphs[a], sorted(junctions(inst.graphs[a])))
         for a in inst.agents
@@ -124,14 +124,65 @@ def test_bound_caps_every_flow_of_a_guess(seed):
     for combo in itertools.product(*cases):
         guess = dict(zip(inst.agents, combo))
         taken = _taken(guess)
-        if taken is None:
-            continue
+        if taken is not None:
+            yield guess, taken
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_bound_caps_every_flow_of_a_guess(seed):
+    for guess, taken in _guesses(_junction_draw(seed)):
         bound = _bound(guess, taken)
         pair_slots = [(a, v1, v2) for a, c in guess.items() for v1, v2 in c.pairs]
         for k in range(len(pair_slots) + 1):
             for mandatory in itertools.combinations(pair_slots, k):
                 got = _solve_flow(guess, taken, set(mandatory))
                 assert got is None or got[0] <= bound
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_price_bound_lies_between_assignment_and_chain_item_sums(seed):
+    # Below: the best assignment of items not taken to open chains, with no
+    # promise enforced, which no dual bound can undercut.  Above: the
+    # smaller of the per-chain and per-item sums, which the price term may
+    # only tighten.
+    for guess, taken in _guesses(_junction_draw(seed)):
+        fixed = sum(c.sat for c in guess.values())
+        chains = [(a, ch.items) for a, c in guess.items() for ch in c.chains]
+        arcs, _ = _chain_network([(a, items, "t") for a, items in chains], taken)
+        feasible, relaxed, _ = max_profit_flow(arcs, "s", "t")
+        assert feasible
+        by_chain = sum(
+            next((len(items) - t for t, x in enumerate(items) if x not in taken), 0)
+            for _, items in chains
+        )
+        by_item: dict[str, int] = {}
+        for _, items in chains:
+            for t, x in enumerate(items):
+                if x not in taken:
+                    by_item[x] = max(by_item.get(x, 0), len(items) - t)
+        upper = fixed + min(by_chain, sum(by_item.values()))
+        assert fixed + relaxed <= _bound(guess, taken) <= upper
+
+
+def test_unkeepable_promises_are_dropped_with_their_case(monkeypatch):
+    # Without pair slots no pick can keep a promise that has no chain of
+    # its own, so a case holding one is dropped when it is built: every
+    # pairless guess that remains gets as far as its flow.
+    flows = 0
+
+    def counting(*args):
+        nonlocal flows
+        flows += 1
+        return max_profit_flow(*args)
+
+    monkeypatch.setattr(junction, "max_profit_flow", counting)
+    for seed in range(200):
+        for guess, taken in _guesses(_junction_draw(seed)):
+            if any(c.pairs for c in guess.values()):
+                continue
+            before = flows
+            _solve_flow(guess, taken, set())
+            assert flows == before + 1, (seed, guess)
 
 
 # sha256 of the (value, witness) list over _junction_draw(0..199), taken
@@ -151,8 +202,8 @@ def test_first_optimum_is_pinned():
 
 def test_flow_call_count_regression(monkeypatch):
     # A fixed gamma = 3 instance at the benchmark's size: running every
-    # guess's flows takes 60 max_profit_flow calls; bounding each guess
-    # first leaves 6.
+    # guess's flows takes 60 max_profit_flow calls, bounding each guess by
+    # its chain and item sums first leaves 6, and the price bound 5.
     rng = random.Random(9)
     inst = randgen.junction_bounded_instance(rng, 12, 6, 3)
     while junction_count(inst) != 3:
@@ -167,4 +218,4 @@ def test_flow_call_count_regression(monkeypatch):
 
     monkeypatch.setattr(junction, "max_profit_flow", counting)
     assert minsum_few_junctions(inst).value == 6
-    assert calls <= 6
+    assert calls <= 5
