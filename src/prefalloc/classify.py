@@ -1,10 +1,13 @@
 """Structural classification of preference graphs, and solver routing.
 
-Solvers specialize on graph shape, so each graph is tagged with the most
-specific class it belongs to.  Classes are predicates, not a partition:
-a single vertex is simultaneously an out-star, a path, and more.  The
-`graph_class` function returns the most specific label under a fixed
-priority, while the `is_*` predicates answer individual membership.
+Solvers specialize on graph shape.  The shape labels are a fact about a
+graph, so `core` derives them once per graph, on first read of
+`PreferenceGraph.classes` (the `GraphClass` enum lives there too and is
+re-exported here).  Labels are not a partition: a single vertex is
+simultaneously an out-star, a path, and more.  `graph_class` returns
+the most specific label under a fixed priority, and the `is_*`
+predicates answer individual membership; each predicate's docstring is
+the definition of its label.  This module owns routing.
 
 `ROUTES` is the route table: per exact polynomial solver, the objective
 it minimizes, the class every agent's graph must have, the agent count
@@ -16,21 +19,10 @@ entry fits goes to the exhaustive oracle, within its size guard.
 
 from __future__ import annotations
 
-import enum
 import importlib
 from dataclasses import dataclass
 
-from .core import Instance, PreconditionError, PreferenceGraph
-
-
-class GraphClass(enum.Enum):
-    OUT_STAR = "out-star"
-    OUT_TREE = "out-tree"
-    PATH = "path"
-    DISJOINT_PATHS = "disjoint-paths"
-    DIRECTED_MATCHING = "directed-matching"
-    UNION_OUT_STARS = "union-of-out-stars"
-    GENERAL_DAG = "general-dag"
+from .core import GraphClass, Instance, PreconditionError, PreferenceGraph
 
 
 def is_out_star(g: PreferenceGraph) -> bool:
@@ -38,31 +30,12 @@ def is_out_star(g: PreferenceGraph) -> bool:
 
     A single vertex with no arcs qualifies (root with zero leaves).
     """
-    n = len(g.items)
-    if n == 0:
-        return False
-    if n == 1:
-        return not g.arcs
-    if len(g.arcs) != n - 1:
-        return False
-    roots = [v for v in g.sorted_items if g.in_degree(v) == 0]
-    if len(roots) != 1:
-        return False
-    root = roots[0]
-    return g.out_degree(root) == n - 1
+    return GraphClass.OUT_STAR in g.classes
 
 
 def is_out_tree(g: PreferenceGraph) -> bool:
     """One in-degree-0 root, every other vertex in-degree 1, all reachable."""
-    n = len(g.items)
-    if n == 0:
-        return False
-    roots = [v for v in g.sorted_items if g.in_degree(v) == 0]
-    if len(roots) != 1:
-        return False
-    if any(g.in_degree(v) != 1 for v in g.sorted_items if v != roots[0]):
-        return False
-    return len(g.dominated_set({roots[0]})) == n
+    return GraphClass.OUT_TREE in g.classes
 
 
 def is_path(g: PreferenceGraph) -> bool:
@@ -70,21 +43,12 @@ def is_path(g: PreferenceGraph) -> bool:
 
     Single vertices count (a path of length zero).
     """
-    n = len(g.items)
-    if n == 0:
-        return False
-    if not is_disjoint_paths(g):
-        return False
-    return len(g.arcs) == n - 1
+    return GraphClass.PATH in g.classes
 
 
 def is_disjoint_paths(g: PreferenceGraph) -> bool:
-    """Every vertex has in-degree and out-degree at most one."""
-    if not g.items:
-        return False
-    return all(
-        g.in_degree(v) <= 1 and g.out_degree(v) <= 1 for v in g.sorted_items
-    )
+    """A nonempty union of disjoint paths: in- and out-degrees at most one."""
+    return GraphClass.DISJOINT_PATHS in g.classes
 
 
 def is_directed_matching(g: PreferenceGraph) -> bool:
@@ -92,80 +56,59 @@ def is_directed_matching(g: PreferenceGraph) -> bool:
 
     The empty graph qualifies vacuously; an isolated vertex disqualifies.
     """
-    return all(
-        g.in_degree(v) + g.out_degree(v) == 1 for v in g.sorted_items
-    )
+    return GraphClass.DIRECTED_MATCHING in g.classes
 
 
 def is_union_out_stars(g: PreferenceGraph) -> bool:
-    """Disjoint union of out-stars (isolated vertices allowed).
+    """Nonempty disjoint union of out-stars (isolated vertices allowed).
 
-    Characterized arc-locally: in-degrees at most one, every arc tail has
-    in-degree zero, and every arc head has out-degree zero.
+    Characterized vertex-locally: in-degrees at most one, and no vertex
+    has both in-arcs and out-arcs.
     """
-    if not g.items:
-        return False
-    for v in g.sorted_items:
-        if g.in_degree(v) > 1:
-            return False
-    for tail, head in g.arcs:
-        if g.in_degree(tail) != 0:
-            return False
-        if g.out_degree(head) != 0:
-            return False
-    return True
+    return GraphClass.UNION_OUT_STARS in g.classes
 
 
+#: Labels from most to least specific.
 _PRIORITY = (
-    (GraphClass.OUT_STAR, is_out_star),
-    (GraphClass.PATH, is_path),
-    (GraphClass.OUT_TREE, is_out_tree),
-    (GraphClass.DIRECTED_MATCHING, is_directed_matching),
-    (GraphClass.DISJOINT_PATHS, is_disjoint_paths),
-    (GraphClass.UNION_OUT_STARS, is_union_out_stars),
+    GraphClass.OUT_STAR,
+    GraphClass.PATH,
+    GraphClass.OUT_TREE,
+    GraphClass.DIRECTED_MATCHING,
+    GraphClass.DISJOINT_PATHS,
+    GraphClass.UNION_OUT_STARS,
+    GraphClass.GENERAL_DAG,
 )
 
 
-_PREDICATES = dict(_PRIORITY)
+def _most_specific(labels: frozenset[GraphClass]) -> GraphClass:
+    return next(label for label in _PRIORITY if label in labels)
 
 
 def graph_class(g: PreferenceGraph) -> GraphClass:
     """Most specific class label for a single graph."""
-    for label, pred in _PRIORITY:
-        if pred(g):
-            return label
-    return GraphClass.GENERAL_DAG
+    return _most_specific(g.classes)
 
 
 def graph_classes(g: PreferenceGraph) -> frozenset[GraphClass]:
     """All class labels the graph satisfies (always includes GENERAL_DAG)."""
-    out = {label for label, pred in _PRIORITY if pred(g)}
-    out.add(GraphClass.GENERAL_DAG)
-    return frozenset(out)
+    return g.classes
 
 
 def instance_class(inst: Instance) -> GraphClass:
     """Most specific label shared by every agent's graph."""
     if not inst.agents:
         return GraphClass.GENERAL_DAG
-    shared = None
-    for a in inst.agents:
-        cs = graph_classes(inst.graphs[a])
-        shared = cs if shared is None else (shared & cs)
-    for label, _ in _PRIORITY:
-        if label in shared:
-            return label
-    return GraphClass.GENERAL_DAG
+    shared = frozenset.intersection(*(inst.graphs[a].classes for a in inst.agents))
+    return _most_specific(shared)
 
 
 def all_graphs_are(inst: Instance, label: GraphClass) -> bool:
-    return label is GraphClass.GENERAL_DAG or misfit_agent(inst, label) is None
+    return misfit_agent(inst, label) is None
 
 
 def misfit_agent(inst: Instance, label: GraphClass) -> str | None:
     """First agent, in sorted order, whose graph is not of the class."""
-    pred = _PREDICATES[label]
-    return next((a for a in inst.agents if not pred(inst.graphs[a])), None)
+    return next((a for a in inst.agents if label not in inst.graphs[a].classes), None)
 
 
 # -- junction vertices ---------------------------------------------------

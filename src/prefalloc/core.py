@@ -9,9 +9,11 @@ module (classifiers, solvers, CLI) works in terms of these types.
 
 from __future__ import annotations
 
+import enum
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 ItemId = str
@@ -57,13 +59,28 @@ def _popcount(x: int) -> int:
     return x.bit_count()
 
 
+class GraphClass(enum.Enum):
+    """Shape labels of a preference graph; `classify` documents each one."""
+
+    OUT_STAR = "out-star"
+    OUT_TREE = "out-tree"
+    PATH = "path"
+    DISJOINT_PATHS = "disjoint-paths"
+    DIRECTED_MATCHING = "directed-matching"
+    UNION_OUT_STARS = "union-of-out-stars"
+    GENERAL_DAG = "general-dag"
+
+
 @dataclass(frozen=True)
 class PreferenceGraph:
     """Immutable DAG of one agent's preferences.
 
-    Reachability closures are computed once at construction (the graphs in
-    this problem are small and queried heavily), so all domination queries
-    are cheap bitmask lookups afterwards.
+    Construction builds the sorted item order, the in- and out-adjacency
+    and each item's reachability mask (the graphs in this problem are
+    small and queried heavily), so domination queries are cheap bitmask
+    lookups afterwards; `predecessors` reads the same masks.  The shape
+    labels, `classes`, are derived from the degrees on first read, so
+    graphs that are never classified never pay for them.
     """
 
     items: frozenset[ItemId]
@@ -73,7 +90,6 @@ class PreferenceGraph:
     )
     _index: dict = field(init=False, repr=False, compare=False, default=None)
     _reach: dict = field(init=False, repr=False, compare=False, default=None)
-    _coreach: dict = field(init=False, repr=False, compare=False, default=None)
     _out: dict = field(init=False, repr=False, compare=False, default=None)
     _in: dict = field(init=False, repr=False, compare=False, default=None)
 
@@ -114,16 +130,9 @@ class PreferenceGraph:
             for w in out[v]:
                 mask |= reach[w]
             reach[v] = mask
-        coreach = {}
-        for v in topo:
-            mask = 1 << index[v]
-            for u in inn[v]:
-                mask |= coreach[u]
-            coreach[v] = mask
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_reach", reach)
-        object.__setattr__(self, "_coreach", coreach)
         object.__setattr__(self, "_out", {v: tuple(ws) for v, ws in out.items()})
         object.__setattr__(self, "_in", {v: tuple(ws) for v, ws in inn.items()})
 
@@ -146,6 +155,36 @@ class PreferenceGraph:
 
     def in_degree(self, v: ItemId) -> int:
         return len(self.in_neighbors(v))
+
+    @cached_property
+    def classes(self) -> frozenset[GraphClass]:
+        """Every shape label the graph has, always including GENERAL_DAG.
+
+        Read off the degree lists.  The empty graph is a directed matching
+        (vacuously) and nothing else; every other shape needs a vertex.
+        """
+        n, m = len(self._order), len(self.arcs)
+        ins = [len(ws) for ws in self._in.values()]  # both in sorted item order
+        outs = [len(ws) for ws in self._out.values()]
+        max_in, max_out = max(ins, default=0), max(outs, default=0)
+        labels = {GraphClass.GENERAL_DAG}
+        if all(i + o == 1 for i, o in zip(ins, outs)):
+            labels.add(GraphClass.DIRECTED_MATCHING)
+        if n and max_in <= 1:
+            if not any(i and o for i, o in zip(ins, outs)):
+                labels.add(GraphClass.UNION_OUT_STARS)
+            if max_out <= 1:
+                labels.add(GraphClass.DISJOINT_PATHS)
+            if m == n - 1:
+                # The in-degrees sum to n - 1, so exactly one vertex is a
+                # root, and following in-arcs back from any vertex (the
+                # graph is acyclic) ends at it: the root reaches them all.
+                labels.add(GraphClass.OUT_TREE)
+                if max_out <= 1:
+                    labels.add(GraphClass.PATH)
+                if max_out == m:
+                    labels.add(GraphClass.OUT_STAR)
+        return frozenset(labels)
 
     def _check(self, v: ItemId):
         if v not in self.items:
@@ -170,7 +209,8 @@ class PreferenceGraph:
     def predecessors(self, v: ItemId) -> frozenset[ItemId]:
         """All items from which v is reachable, excluding v itself."""
         self._check(v)
-        return self._mask_to_set(self._coreach[v] & ~(1 << self._index[v]))
+        bit = 1 << self._index[v]
+        return frozenset(u for u in self._order if u != v and self._reach[u] & bit)
 
     def dominated_set(self, assigned: Iterable[ItemId]) -> frozenset[ItemId]:
         """Items covered by `assigned`: the set itself plus everything reachable."""

@@ -1,9 +1,16 @@
 """Graph class predicates, junction counting, solver routing."""
 
+import hashlib
+import itertools
+import json
+import random
+
 import pytest
 
+from prefalloc import classify, exact, randgen
 from prefalloc.classify import (
     DEFAULT_GAMMA_LIMIT,
+    ROUTES,
     GraphClass,
     all_graphs_are,
     dispatch,
@@ -14,9 +21,9 @@ from prefalloc.classify import (
     junction_summary,
     junctions,
 )
-from prefalloc.core import PreconditionError
+from prefalloc.core import ParseError, PreconditionError, PreferenceGraph
 
-from conftest import graph, instance
+from conftest import brute_minimum, graph, instance
 
 SINGLE = graph("a")
 ARC = graph("ab", [("a", "b")])
@@ -170,3 +177,170 @@ class TestDispatch:
 
     def test_default_gamma_limit_is_small(self):
         assert DEFAULT_GAMMA_LIMIT == 6
+
+
+# -- labels against their definitions ------------------------------------
+#
+# Reference predicates written from the classify docstrings: arcs are
+# read straight from the arc set and reachability from `successors`, so
+# none of them shares a degree shortcut with `PreferenceGraph.classes`.
+
+
+def _in_arcs(g, v):
+    return [arc for arc in g.arcs if arc[1] == v]
+
+
+def _components(g):
+    """Induced subgraphs of the weakly connected components."""
+    comp = {v: {v} for v in g.items}
+    for tail, head in g.arcs:
+        if comp[tail] is not comp[head]:
+            merged = comp[tail] | comp[head]
+            for v in merged:
+                comp[v] = merged
+    parts = {id(c): c for c in comp.values()}.values()
+    return [
+        PreferenceGraph(frozenset(c), frozenset(a for a in g.arcs if a[0] in c))
+        for c in parts
+    ]
+
+
+def _ref_out_star(g):
+    # one root with arcs to every other vertex, and no other arcs
+    return any(g.arcs == {(r, v) for v in g.items if v != r} for r in g.items)
+
+
+def _ref_out_tree(g):
+    # one root reaching every item, every other vertex entered by one arc
+    return any(
+        g.successors(r) | {r} == g.items
+        and not _in_arcs(g, r)
+        and all(len(_in_arcs(g, v)) == 1 for v in g.items - {r})
+        for r in g.items
+    )
+
+
+def _ref_path(g):
+    # a walk from some start, one arc at a time, covers every vertex and arc
+    for start in g.items:
+        walk, used = [start], set()
+        while True:
+            nxt = [head for tail, head in g.arcs if tail == walk[-1]]
+            if len(nxt) != 1:
+                break
+            used.add((walk[-1], nxt[0]))
+            walk.append(nxt[0])
+        if len(walk) == len(g.items) and used == g.arcs:
+            return True
+    return False
+
+
+def _ref_classes(g):
+    parts = _components(g)
+    refs = {
+        GraphClass.OUT_STAR: _ref_out_star(g),
+        GraphClass.OUT_TREE: _ref_out_tree(g),
+        GraphClass.PATH: _ref_path(g),
+        GraphClass.DISJOINT_PATHS: bool(g.items) and all(map(_ref_path, parts)),
+        # disjoint arcs covering all vertices; the empty graph qualifies
+        GraphClass.DIRECTED_MATCHING: all(
+            len(p.items) == 2 and len(p.arcs) == 1 for p in parts
+        ),
+        GraphClass.UNION_OUT_STARS: bool(g.items) and all(map(_ref_out_star, parts)),
+        GraphClass.GENERAL_DAG: True,
+    }
+    return frozenset(label for label, holds in refs.items() if holds)
+
+
+def _all_small_dags(max_n=4):
+    for n in range(max_n + 1):
+        verts = "abcd"[:n]
+        pairs = list(itertools.permutations(verts, 2))
+        for keep in itertools.product((False, True), repeat=len(pairs)):
+            arcs = [p for p, k in zip(pairs, keep) if k]
+            try:
+                yield graph(verts, arcs)
+            except ParseError:  # a cycle
+                continue
+
+
+def _randgen_graphs():
+    for shape in randgen.SHAPES:
+        for size in (2, 3, 5, 8, 12):
+            rng = random.Random(size)
+            for _ in range(20):
+                inst = randgen.random_instance(rng, shape, size, 3)
+                yield from inst.graphs.values()
+
+
+def _assert_labels_match(g):
+    want = _ref_classes(g)
+    assert g.classes == want, (sorted(g.items), sorted(g.arcs))
+    assert graph_classes(g) == want
+    assert classify.is_out_star(g) == (GraphClass.OUT_STAR in want)
+    assert classify.is_out_tree(g) == (GraphClass.OUT_TREE in want)
+    assert classify.is_path(g) == (GraphClass.PATH in want)
+    assert classify.is_disjoint_paths(g) == (GraphClass.DISJOINT_PATHS in want)
+    assert classify.is_directed_matching(g) == (GraphClass.DIRECTED_MATCHING in want)
+    assert classify.is_union_out_stars(g) == (GraphClass.UNION_OUT_STARS in want)
+
+
+def test_labels_match_definitions_on_all_small_dags():
+    count = 0
+    for g in _all_small_dags():
+        _assert_labels_match(g)
+        count += 1
+    assert count == 1 + 1 + 3 + 25 + 543  # labelled DAGs on 0..4 vertices
+
+
+def test_labels_match_definitions_on_every_randgen_shape():
+    for g in _randgen_graphs():
+        _assert_labels_match(g)
+
+
+# -- agents that desire nothing ------------------------------------------
+
+EMPTY = graph("")
+
+
+def test_empty_graph_is_a_vacuous_matching_only():
+    assert graph_classes(EMPTY) == {GraphClass.DIRECTED_MATCHING, GraphClass.GENERAL_DAG}
+
+
+@pytest.mark.parametrize(
+    "x, objective, route",
+    [
+        (ARC, "sum", "minsum-matchings"),
+        (ARC, "max", "minmax-two-matchings"),
+        (CHAIN3, "sum", "minsum-junctions"),
+        (CHAIN3, "max", "oracle"),
+    ],
+)
+def test_agent_desiring_nothing_routes_and_solves(x, objective, route):
+    inst = instance({"x": x, "y": EMPTY})
+    assert dispatch(inst, objective).name == route
+    routes = {r.name: r for r in ROUTES}
+    got = routes[route].solve(inst).value if route in routes else brute_minimum(inst, objective)
+    assert got == exact.minimize(inst, objective).value
+
+
+# -- routing pin -----------------------------------------------------------
+
+# sha256 of dispatch's (name, reason) under both objectives over 200
+# seeded instances of every randgen shape, taken before the shape labels
+# moved into `PreferenceGraph.classes`: any later label change that moves
+# a route shows here.
+PINNED_DISPATCH_DIGEST = "b2a1fb2904a7153c1bbeeeb6c07a9bc310bc8d74688a7d631a19cdc0613a7bb1"
+
+
+def test_dispatch_is_pinned():
+    got = []
+    for shape in randgen.SHAPES:
+        for seed in range(200):
+            rng = random.Random(seed)
+            inst = randgen.random_instance(rng, shape, rng.randint(2, 9), rng.randint(1, 4))
+            for objective in ("sum", "max"):
+                choice = dispatch(inst, objective)
+                got.append([shape, seed, objective, choice.name, choice.reason])
+    digest = hashlib.sha256(json.dumps(got).encode()).hexdigest()
+    assert digest == PINNED_DISPATCH_DIGEST

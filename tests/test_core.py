@@ -13,6 +13,7 @@ from prefalloc.core import (
     Instance,
     NormalizationWarning,
     ParseError,
+    PreconditionError,
     PreferenceGraph,
     ValidationError,
     dissatisfaction,
@@ -299,6 +300,15 @@ def test_dominated_set_contains_bundle_and_is_monotone(g, data):
     assert small <= dom
     assert dom <= g.items
     assert dom <= g.dominated_set(small | extra)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dags())
+def test_predecessors_are_the_items_that_reach(g):
+    for v in g.items:
+        assert g.predecessors(v) == {u for u in g.items if u != v and v in g.successors(u)}
+    with pytest.raises(PreconditionError):
+        g.predecessors("zz")
 
 
 @settings(max_examples=80, deadline=None)
