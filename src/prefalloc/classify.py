@@ -3,11 +3,12 @@
 Solvers specialize on graph shape.  The shape labels are a fact about a
 graph, so `core` derives them once per graph, on first read of
 `PreferenceGraph.classes` (the `GraphClass` enum lives there too and is
-re-exported here).  Labels are not a partition: a single vertex is
-simultaneously an out-star, a path, and more.  `graph_class` returns
-the most specific label under a fixed priority, and the `is_*`
-predicates answer individual membership; each predicate's docstring is
-the definition of its label.  This module owns routing.
+re-exported here), and likewise the junction set, `junctions`.  Labels
+are not a partition: a single vertex is simultaneously an out-star, a
+path, and more.  `graph_class` returns the most specific label under a
+fixed priority, and the `is_*` predicates answer individual membership;
+each predicate's docstring is the definition of its label.  This module
+owns routing.
 
 `ROUTES` is the route table: per exact polynomial solver, the objective
 it minimizes, the class every agent's graph must have, the agent count
@@ -116,9 +117,7 @@ def misfit_agent(inst: Instance, label: GraphClass) -> str | None:
 
 def junctions(g: PreferenceGraph) -> frozenset[str]:
     """Vertices with in-degree above one or out-degree above one."""
-    return frozenset(
-        v for v in g.sorted_items if g.in_degree(v) > 1 or g.out_degree(v) > 1
-    )
+    return g.junctions
 
 
 def junction_count(inst: Instance) -> int:

@@ -79,8 +79,9 @@ class PreferenceGraph:
     and each item's reachability mask (the graphs in this problem are
     small and queried heavily), so domination queries are cheap bitmask
     lookups afterwards; `predecessors` reads the same masks.  The shape
-    labels, `classes`, are derived from the degrees on first read, so
-    graphs that are never classified never pay for them.
+    labels, `classes`, and the junction set, `junctions`, are derived
+    from the degrees on first read, so graphs that are never classified
+    never pay for them.
     """
 
     items: frozenset[ItemId]
@@ -185,6 +186,13 @@ class PreferenceGraph:
                 if max_out == m:
                     labels.add(GraphClass.OUT_STAR)
         return frozenset(labels)
+
+    @cached_property
+    def junctions(self) -> frozenset[ItemId]:
+        """Vertices with in-degree above one or out-degree above one."""
+        return frozenset(
+            v for v in self._order if len(self._in[v]) > 1 or len(self._out[v]) > 1
+        )
 
     def _check(self, v: ItemId):
         if v not in self.items:

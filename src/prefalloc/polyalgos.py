@@ -7,8 +7,8 @@ check them against the exhaustive reference solver.
 Directed matchings, single paths and path forests are all unions of
 disjoint paths: their min-sum solvers share one chain assignment, a
 max-profit flow on the chain network that the junction route also
-builds, and min-max over single paths runs a bottleneck assignment on
-dense rows of the same chains.
+builds.  Min-max over single paths searches for the least bound that a
+cardinality matching of each agent to its first items can meet.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 from .classify import GraphClass, misfit_agent
 from .core import Allocation, Instance, PreconditionError, profile
-from .kernels import bipartite_mwis, lbap, max_profit_flow
-from .kernels import lsap, max_weight_matching  # noqa: F401  perfbench/tracing.py wraps them by name
+from .kernels import bipartite_mwis, hopcroft_karp, max_profit_flow
+from .kernels import lbap, lsap, max_weight_matching  # noqa: F401  perfbench/tracing.py wraps them by name
 
 
 @dataclass(frozen=True)
@@ -79,18 +79,21 @@ def _chains(g, juncs: frozenset[str] = frozenset()) -> list[Chain]:
     a union of disjoint paths, and its chains are its components.
     """
 
+    # A walk only leaves non-junctions, which have one out-arc at most, so
+    # the arcs read as a map from tail to head serve every step.
+    succ = dict(g.arcs)
+    heads = {head for _, head in g.arcs}
+
     def walk(first: str, start: str | None) -> Chain:
         items = [first]
-        while nxt := g.out_neighbors(items[-1]):
-            if nxt[0] in juncs:
-                return Chain(start, items, nxt[0])
-            items.append(nxt[0])
+        while (nxt := succ.get(items[-1])) is not None:
+            if nxt in juncs:
+                return Chain(start, items, nxt)
+            items.append(nxt)
         return Chain(start, items, None)
 
     chains = [walk(w, u) for u in sorted(juncs) for w in g.out_neighbors(u) if w not in juncs]
-    for v in g.sorted_items:
-        if g.in_degree(v) == 0 and v not in juncs:
-            chains.append(walk(v, None))
+    chains += [walk(v, None) for v in g.sorted_items if v not in heads and v not in juncs]
     return chains
 
 
@@ -125,21 +128,6 @@ def _chain_network(rows, taken) -> tuple[list[tuple], list[tuple[str, str] | Non
     return arcs, tags
 
 
-def _chain_rows(inst: Instance) -> tuple[list[str], list[list[int]]]:
-    """Row owners and dense bottleneck costs: one row per (agent, path component).
-
-    A row's cost for an item is the item's depth on the component, else
-    the component's length, plus one "receives nothing" column per row.
-    """
-    rows = [(a, ch.items) for a in inst.agents for ch in _chains(inst.graphs[a])]
-    cost = []
-    for _, chain in rows:
-        depth = {v: i for i, v in enumerate(chain)}
-        size = len(chain)
-        cost.append([depth.get(v, size) for v in inst.items] + [size] * len(rows))
-    return [a for a, _ in rows], cost
-
-
 def _minsum_chains(inst: Instance) -> SolveResult:
     rows = [(a, ch.items, "t") for a in inst.agents for ch in _chains(inst.graphs[a])]
     arcs, tags = _chain_network(rows, ())
@@ -171,19 +159,38 @@ def minsum_disjoint_paths(inst: Instance) -> SolveResult:
 
 
 def minmax_paths(inst: Instance) -> SolveResult:
-    """Min worst-agent dissatisfaction for single paths (bottleneck assignment).
+    """Min worst-agent dissatisfaction for single paths (bottleneck matching).
 
-    With one component per agent, a row's cost is its agent's
-    dissatisfaction, so the bottleneck is the worst agent's.
+    An agent whose path's earliest received item sits at depth t is
+    dissatisfied by exactly t, and one who receives none of its m items
+    by m.  So some allocation keeps every agent at or below d exactly
+    when every agent whose path has more than d items can get one of its
+    first d + 1 items, a distinct one each: a cardinality matching that
+    covers those agents.  Feasibility only grows with d and holds at the
+    longest path's length, so a binary search over 0..that length finds
+    the least feasible d, the value, and its matching is the witness.
     """
     _require(inst, GraphClass.PATH)
-    owners, cost = _chain_rows(inst)
-    value, cols = lbap(cost)
-    bundles: dict[str, set[str]] = {}
-    for a, j in zip(owners, cols):
-        if j < len(inst.items) and inst.items[j] in inst.graphs[a].items:
-            bundles.setdefault(a, set()).add(inst.items[j])
-    return SolveResult(value, Allocation.of(bundles))
+    index = {v: j for j, v in enumerate(inst.items)}
+    paths = [(a, [index[v] for v in _chains(inst.graphs[a])[0].items]) for a in inst.agents]
+
+    def attempt(d: int) -> dict[str, set[str]] | None:
+        rows = [(a, path[: d + 1]) for a, path in paths if len(path) > d]
+        size, match = hopcroft_karp(len(rows), len(inst.items), [adj for _, adj in rows])
+        if size < len(rows):
+            return None
+        return {a: {inst.items[j]} for (a, _), j in zip(rows, match)}
+
+    lo, hi = 0, max((len(path) for _, path in paths), default=0)
+    best: dict[str, set[str]] = {}  # nobody needs an item at the longest length
+    while lo < hi:
+        mid = (lo + hi) // 2
+        got = attempt(mid)
+        if got is None:
+            lo = mid + 1
+        else:
+            best, hi = got, mid
+    return SolveResult(lo, Allocation.of(best))
 
 
 # -- two agents with star-forest graphs ---------------------------------------
@@ -297,6 +304,22 @@ def minsum_two_star_forests(inst: Instance) -> SolveResult:
 # carries the first vertex's state and that arc is charged at the end.
 # The charges then sum to each agent's dissatisfaction, so a component's
 # final pairs are exactly the pairs it can realize.
+#
+# The min-max solver needs only Pareto-minimal pairs, those no other pair
+# dominates (no larger in either coordinate and not equal).  With `prune`
+# the builder keeps only the keys whose (d1, d2) is minimal among keys
+# with the same (first state, current state), only each component's
+# minimal pairs, and only each layer's minimal totals.  A charge reads
+# only states, so a key dominating another with the same states reaches,
+# by the same later choices, a final dominating the other's.  Hence every
+# key on a path to a minimal final is minimal in its group, and so is
+# its first parent in sorted scan order, and every split of a minimal
+# total uses minimal parts.  The pruned tables thus hold every minimal
+# key, and each sorted first-insert scan meets the same first parent or
+# split as the full one.  The target, the least (max, pair) total, is
+# minimal: a pair dominating it has no larger max and sorts first.  So
+# value and witness are those of the full tables, which
+# `two_matchings_profiles` keeps because it needs every pair.
 
 
 def _overlay_components(inst: Instance):
@@ -342,12 +365,29 @@ def _charge(arc, first, s_first, s_second, d1, d2):
     return (d1 + c, d2) if q == 1 else (d1, d2 + c)
 
 
-def _component_table(inst: Instance, verts, arcs):
-    """All (dissat_1, dissat_2) pairs a component can realize, with decode info.
+def _minimal(table: dict) -> dict:
+    """The entries whose key's last two fields no key with the same leading fields dominates.
+
+    Returned in sorted key order.  In that order a key is dominated
+    exactly when an earlier key of its group has no larger last field.
+    """
+    least: dict[tuple, int] = {}
+    out = {}
+    for key in sorted(table):
+        group, d2 = key[:-2], key[-1]
+        if group not in least or d2 < least[group]:
+            least[group] = d2
+            out[key] = table[key]
+    return out
+
+
+def _component_table(inst: Instance, verts, arcs, prune: bool):
+    """The (dissat_1, dissat_2) pairs a component can realize, with decode info.
 
     Keys are (first vertex's state, current vertex's state, d1, d2).
     Returns (pairs, finals, tables) where finals maps a pair to its
     first final key in sorted order and tables hold parent pointers.
+    With `prune`, only the minimal keys and pairs are kept.
     """
     g1, g2 = (inst.graphs[a].items for a in inst.agents)
     states = [[0] + [q for q, g in ((1, g1), (2, g2)) if v in g] for v in verts]
@@ -361,14 +401,16 @@ def _component_table(inst: Instance, verts, arcs):
                 nk = (s0, s, *_charge(arc, prev, sp, s, d1, d2))
                 if nk not in cur:
                     cur[nk] = key
-        tables.append(cur)
+        tables.append(_minimal(cur) if prune else cur)
     finals: dict[tuple[int, int], tuple] = {}
     for key in sorted(tables[-1]):
         s0, s, d1, d2 = key
         if len(arcs) == len(verts):  # a cycle: charge its closing arc
             d1, d2 = _charge(arcs[-1], verts[-1], s, s0, d1, d2)
         finals.setdefault((d1, d2), key)
-    return frozenset(finals), finals, tables
+    if prune:
+        finals = _minimal(finals)
+    return sorted(finals), finals, tables
 
 
 def _decode_component(verts, finals, tables, pair):
@@ -381,29 +423,29 @@ def _decode_component(verts, finals, tables, pair):
     return {v: s for v, s in zip(verts, states_rev) if s}
 
 
-def _two_matchings_layers(inst: Instance):
+def _two_matchings_layers(inst: Instance, prune: bool = False):
     """Component tables and the layered combine of their pair sets.
 
     Returns (infos, layers): infos[c] is (verts, pairs, finals, tables)
-    for component c, and layers[c + 1] maps each total pair reachable
-    with the first c + 1 components to (previous total, component pair),
-    the first such split in sorted scan order.
+    for component c, with pairs sorted, and layers[c + 1] maps each total
+    pair reachable with the first c + 1 components to (previous total,
+    component pair), the first such split in sorted scan order.  With
+    `prune`, only minimal keys, pairs and totals are kept.
     """
     _require(inst, GraphClass.DIRECTED_MATCHING, agents=2)
     infos = [
-        (verts, *_component_table(inst, verts, arcs))
+        (verts, *_component_table(inst, verts, arcs, prune))
         for verts, arcs in _overlay_components(inst)
     ]
     layers: list[dict[tuple[int, int], tuple]] = [{(0, 0): None}]
     for _, pairs, _, _ in infos:
-        prev = layers[-1]
         cur: dict[tuple[int, int], tuple] = {}
-        for base in sorted(prev):
-            for p in sorted(pairs):
+        for base in sorted(layers[-1]):
+            for p in pairs:
                 key = (base[0] + p[0], base[1] + p[1])
                 if key not in cur:
                     cur[key] = (base, p)
-        layers.append(cur)
+        layers.append(_minimal(cur) if prune else cur)
     return infos, layers
 
 
@@ -420,7 +462,7 @@ def minmax_two_matchings(inst: Instance) -> SolveResult:
     sets are then combined and the best total pair picked (smallest max,
     then lexicographic), with backpointers rebuilding a witness.
     """
-    infos, layers = _two_matchings_layers(inst)
+    infos, layers = _two_matchings_layers(inst, prune=True)
     target = min(layers[-1], key=lambda t: (max(t), t))
     choices = []
     cursor = target

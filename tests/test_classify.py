@@ -252,6 +252,11 @@ def _ref_classes(g):
     return frozenset(label for label, holds in refs.items() if holds)
 
 
+def _ref_junctions(g):
+    # vertices with in-degree above one or out-degree above one
+    return {v for v in g.items if len(_in_arcs(g, v)) > 1 or sum(t == v for t, _ in g.arcs) > 1}
+
+
 def _all_small_dags(max_n=4):
     for n in range(max_n + 1):
         verts = "abcd"[:n]
@@ -283,6 +288,7 @@ def _assert_labels_match(g):
     assert classify.is_disjoint_paths(g) == (GraphClass.DISJOINT_PATHS in want)
     assert classify.is_directed_matching(g) == (GraphClass.DIRECTED_MATCHING in want)
     assert classify.is_union_out_stars(g) == (GraphClass.UNION_OUT_STARS in want)
+    assert g.junctions == junctions(g) == _ref_junctions(g)
 
 
 def test_labels_match_definitions_on_all_small_dags():

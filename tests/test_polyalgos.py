@@ -1,13 +1,15 @@
 """Polynomial special-case solvers versus the oracle and hand examples."""
 
 import random
+import string
 
 import pytest
 
-from prefalloc import exact, randgen
+from prefalloc import exact, polyalgos, randgen
 from prefalloc.classify import ROUTES, GraphClass, dispatch
 from prefalloc.core import PreconditionError, profile, serialize_instance, validate_allocation
 from prefalloc.junction import minsum_few_junctions
+from prefalloc.kernels import lbap
 from prefalloc.polyalgos import (
     minmax_paths,
     minmax_two_matchings,
@@ -323,7 +325,7 @@ def alternating(n, closed, flips, first="x"):
     closed) and belongs to `first` for even k, to the other agent for odd
     k; bit k of `flips` reverses it.
     """
-    names = "abcdefghij"[:n]
+    names = (string.ascii_lowercase + string.ascii_uppercase)[:n]
     arcs = {"x": [], "y": []}
     owners = "xy" if first == "x" else "yx"
     for k in range(n if closed else n - 1):
@@ -352,6 +354,80 @@ def test_two_matchings_long_alternations_match_oracle(n, closed, flips, first):
     inst = alternating(n, closed, flips, first)
     assert two_matchings_profiles(inst) == exact.all_profiles(inst)
     check_against_oracle(inst, minmax_two_matchings, "max")
+
+
+def full_table_minmax(inst, monkeypatch):
+    """minmax_two_matchings run on the full tables, as if `prune` were off."""
+    build = polyalgos._two_matchings_layers
+    with monkeypatch.context() as m:
+        m.setattr(polyalgos, "_two_matchings_layers", lambda inst, prune: build(inst))
+        return minmax_two_matchings(inst)
+
+
+def pareto_minimal(pairs):
+    return {p for p in pairs if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pairs)}
+
+
+def check_pruning(inst, monkeypatch):
+    assert minmax_two_matchings(inst) == full_table_minmax(inst, monkeypatch)
+    _, layers = polyalgos._two_matchings_layers(inst, prune=True)
+    assert set(layers[-1]) == pareto_minimal(two_matchings_profiles(inst))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_two_matchings_pruning_keeps_value_and_witness(monkeypatch, seed):
+    rng = random.Random(f"pareto/{seed}")
+    for _ in range(30):
+        check_pruning(randgen.random_instance(rng, "matching", rng.randint(2, 30), 2), monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "n, closed, flips, first",
+    [
+        (12, True, 0, "x"),
+        (16, True, 0b1011001110100101, "y"),
+        (24, True, 0b101010101010101010101010, "x"),
+        (26, True, 0b11011000110110011101001011, "y"),
+        (15, False, 0b10110101110010, "x"),
+        (26, False, 0, "y"),
+    ],
+)
+def test_two_matchings_pruning_on_long_alternations(monkeypatch, n, closed, flips, first):
+    check_pruning(alternating(n, closed, flips, first), monkeypatch)
+
+
+def test_two_matchings_pruned_key_count_regression():
+    # One benchmark-size draw: its component tables hold 1,652 keys in
+    # full and 165 with the dominated (d1, d2) of each state pair dropped.
+    inst = randgen.random_instance(random.Random("pareto-keys"), "matching", 24, 2)
+    infos, _ = polyalgos._two_matchings_layers(inst, prune=True)
+    assert sum(len(table) for *_, tables in infos for table in tables) == 165
+
+
+def dense_chain_lbap(inst):
+    """`kernels.lbap` on the dense bottleneck matrix of single-path agents.
+
+    One row per agent: an item's depth on the agent's path, else the
+    path's length, plus one "receives nothing" column per row.
+    """
+    cost = []
+    for a in inst.agents:
+        g = inst.graphs[a]
+        path = sorted(g.items, key=lambda v: -len(g.successors(v)))
+        depth = {v: t for t, v in enumerate(path)}
+        cost.append([depth.get(v, len(path)) for v in inst.items] + [len(path)] * inst.num_agents)
+    return lbap(cost)[0]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_minmax_paths_matches_dense_bottleneck_assignment(seed):
+    rng = random.Random(f"minmax-paths/{seed}")
+    for _ in range(30):
+        inst = randgen.random_instance(rng, "path", rng.randint(2, 30), rng.randint(1, 12))
+        res = minmax_paths(inst)
+        assert validate_allocation(inst, res.witness) == []
+        assert profile(inst, res.witness).maximum == res.value
+        assert res.value == dense_chain_lbap(inst)
 
 
 # Each polynomial route's benchmark stratum (perfbench/workloads.py):
