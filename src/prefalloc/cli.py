@@ -331,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ParseError as exc:  # e.g. a PREFALLOC_ORACLE_LIMIT that is not an integer
+    except ParseError as exc:  # e.g. a malformed or negative PREFALLOC_ORACLE_LIMIT
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -12,8 +12,8 @@ first optimum in that depth-first order is returned, which pins the
 witness down deterministically (the lexicographically least option
 vector among optimal allocations).
 
-`minimize` is a branch and bound over that scan.  Two rules cut it down
-without moving the witness:
+`minimize` is a branch and bound over that scan.  Three rules cut it
+down without moving the witness:
 
 * Suffix-union bound.  From item j on, agent a can at best gain every
   item of the union of its reach masks over items j..n-1 that it does not
@@ -22,6 +22,18 @@ without moving the witness:
   node whose bound is at least the incumbent is cut.  Cutting at ">="
   keeps the first optimum: every node on its path has a bound no larger
   than the optimum, which is below every incumbent found before it.
+* Joint gain cap.  Each item goes to at most one agent and gains it at
+  most its reach mask's size, so C(j), the sum over items j..n-1 of the
+  largest reach mask any desiring agent has for the item, bounds the
+  total gain of every completion from item j on; an item two agents
+  desire counts once.  Under sum the objective ends at least at
+  sum(dissat) - C(j), so the node is cut when that is at least the
+  incumbent.  Under max, beating the incumbent needs every agent a to
+  gain at least max(0, dissat_a - incumbent + 1); the node is cut when
+  those needs add up to more than C(j).  Either cut fires only when no
+  completion from the node scores below the incumbent, which is all the
+  argument for ">=" above uses.
+  C is computed once per instance, beside the suffix unions.
 * Zero-gain skip.  Giving item j to an agent that already reaches all of
   it leaves the search state exactly as in the "nobody" branch, which is
   searched first.  Every leaf of the skipped branch has an equal-valued
@@ -30,7 +42,8 @@ without moving the witness:
   strictly lower value replaces it.  So no skipped leaf is the first
   optimum or could have been returned.
   `all_profiles` uses the same skip: the twin leaves give the same
-  profiles.
+  profiles.  It uses neither bound, because it enumerates every
+  profile, not an optimum.
 """
 
 from __future__ import annotations
@@ -67,9 +80,12 @@ def _effective_limit(limit: int | None) -> int:
     if not raw:
         return _DEFAULT_LIMIT
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        raise ParseError(f"{_LIMIT_ENV} must be an integer, got {raw!r}") from None
+        value = None
+    if value is None or value < 0:
+        raise ParseError(f"{_LIMIT_ENV} must be a non-negative integer, got {raw!r}")
+    return value
 
 
 def _guard(inst: Instance, limit: int | None) -> None:
@@ -107,6 +123,14 @@ def _suffix_unions(reach: list[dict[int, int]], n: int, k: int) -> list[list[int
     return suffix
 
 
+def _suffix_caps(reach: list[dict[int, int]], n: int) -> list[int]:
+    """cap[j]: sum over items j..n-1 of the largest reach mask desiring it."""
+    cap = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        cap[j] = cap[j + 1] + max((r.bit_count() for r in reach[j].values()), default=0)
+    return cap
+
+
 def _to_allocation(inst: Instance, assign: list[int | None]) -> Allocation:
     bundles: dict[str, set[str]] = {}
     for v, ai in zip(inst.items, assign):
@@ -129,6 +153,7 @@ def minimize(
     n = len(items)
     k = len(agents)
     suffix = _suffix_unions(reach, n, k)
+    cap = _suffix_caps(reach, n)
 
     masks = [0] * k
     dissat = sizes[:]
@@ -140,16 +165,22 @@ def minimize(
     def pruned(j: int) -> bool:
         # True when no completion from this node can beat the incumbent.
         # Agent ai ends with at least sizes[ai] - |masks[ai] | suffix[ai][j]|
-        # dissatisfaction (dissat[ai] is sizes[ai] - |masks[ai]|).
+        # dissatisfaction (dissat[ai] is sizes[ai] - |masks[ai]|), and all
+        # agents together gain at most cap[j].
         if objective == "sum":
+            if sum(dissat) - cap[j] >= best_value:
+                return True
             low = 0
             for ai in range(k):
                 low += sizes[ai] - (masks[ai] | suffix[ai][j]).bit_count()
             return low >= best_value
+        need = 0
         for ai in range(k):
             if sizes[ai] - (masks[ai] | suffix[ai][j]).bit_count() >= best_value:
                 return True
-        return False
+            if dissat[ai] >= best_value:
+                need += dissat[ai] - best_value + 1
+        return need > cap[j]
 
     def dfs(j: int) -> None:
         nonlocal best_value, best_assign, leaves

@@ -145,6 +145,13 @@ class TestSolve:
         assert out == ""
         assert "PREFALLOC_ORACLE_LIMIT" in err and "'abc'" in err
 
+    def test_oracle_limit_negative(self, worked_path, capsys, monkeypatch):
+        monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", "-5")
+        code, out, err = run(capsys, "solve", worked_path, "--objective", "max")
+        assert code == 2
+        assert out == ""
+        assert "PREFALLOC_ORACLE_LIMIT" in err and "'-5'" in err
+
     def test_bad_instance_file(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text("{]")

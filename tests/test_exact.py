@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from prefalloc.core import ParseError, SizeGuardError, profile, validate_allocation
+from prefalloc.core import (
+    Instance,
+    ParseError,
+    SizeGuardError,
+    profile,
+    validate_allocation,
+)
 from prefalloc.exact import all_profiles, decide, minimize, search_space
 from prefalloc import randgen, reductions
 
@@ -84,28 +90,75 @@ def test_witness_is_first_optimum_in_scan_order(seed):
             assert (res.value, res.witness) == scan_first_optimum(inst, objective)
 
 
+def _gadget(rng: random.Random, clauses: int) -> Instance:
+    """Two-agent 3-CNF gadget over 2 variables with random clauses."""
+    formula = reductions.Cnf3Formula(
+        2,
+        [
+            tuple(rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(3))
+            for _ in range(clauses)
+        ],
+    )
+    return reductions.gen_two_agents_sat(formula)[0]
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_gadget_witness_is_first_optimum_in_scan_order(seed):
     """Two-agent 3-CNF gadgets under max, where the bound cuts most of the scan."""
     rng = random.Random(90 + seed)
-    clauses = [
-        tuple(rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(3))
-        for _ in range(rng.randint(1, 2))
-    ]
-    inst, _, _ = reductions.gen_two_agents_sat(reductions.Cnf3Formula(2, clauses))
+    inst = _gadget(rng, rng.randint(1, 2))
     res = minimize(inst, "max")
     assert (res.value, res.witness) == scan_first_optimum(inst, "max")
 
 
+_SCAN_BUDGET = 8192  # leaves scan_first_optimum may enumerate per draw
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_minimize_matches_ordered_scan(seed):
+    """Value and witness equal the plain ordered scan's under both objectives.
+
+    Draws cover four graph shapes and two-agent gadgets, where both agents
+    desire every item and the joint gain cap cuts most.
+    """
+    rng = random.Random(300 + seed)
+    shape = ("dag", "out-tree", "union-out-stars", "path", "gadget")[seed % 5]
+    if shape == "gadget":
+        inst = _gadget(rng, rng.randint(1, 2))
+        objectives = ("sum",)  # max is covered by the gadget test above
+    else:
+        while True:
+            n, k = rng.randint(4, 9), rng.randint(2, 4)
+            inst = randgen.random_instance(rng, shape, n, k)
+            if search_space(inst) <= _SCAN_BUDGET:
+                break
+        objectives = ("sum", "max")
+    for objective in objectives:
+        res = minimize(inst, objective)
+        assert (res.value, res.witness) == scan_first_optimum(inst, objective)
+
+
 def test_gadget_leaf_count_regression():
     # A satisfiable 3-variable, 3-clause gadget: 3^12 = 531441 leaves
-    # unpruned.  Summing reach sizes as the bound visited 12816 of them;
-    # the suffix-union bound with the zero-gain skip visits 447.
+    # unpruned.  Summing reach sizes as the bound visited 12816 of them
+    # under max; the suffix-union bound with the zero-gain skip visited 447
+    # under max and 1266 under sum, and the joint gain cap brings them to
+    # 231 and 648.
     formula = reductions.Cnf3Formula(3, ((1, 2, 3), (-1, -2, 3), (1, -2, -3)))
-    inst, _, threshold = reductions.gen_two_agents_sat(formula)
+    inst, sum_threshold, threshold = reductions.gen_two_agents_sat(formula)
     res = minimize(inst, "max")
     assert res.value == threshold
-    assert res.leaves <= 447
+    assert res.leaves <= 231
+    res = minimize(inst, "sum")
+    assert res.value == sum_threshold
+    assert res.leaves <= 648
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gadget_profile_sets_match_plain_enumeration(seed):
+    """all_profiles enumerates every profile; no optimum bound may cut it."""
+    inst = _gadget(random.Random(500 + seed), 1)
+    assert all_profiles(inst) == brute_profiles(inst)
 
 
 class TestDecide:
@@ -143,6 +196,17 @@ class TestSizeGuard:
     def test_env_var_not_an_integer_is_refused(self, worked, monkeypatch, raw):
         monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", raw)
         with pytest.raises(ParseError, match="PREFALLOC_ORACLE_LIMIT"):
+            minimize(worked, "sum")
+
+    @pytest.mark.parametrize("raw", ["-5", "-1"])
+    def test_env_var_negative_is_refused(self, worked, monkeypatch, raw):
+        monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", raw)
+        with pytest.raises(ParseError, match="non-negative"):
+            minimize(worked, "sum")
+
+    def test_env_var_zero_is_a_limit(self, worked, monkeypatch):
+        monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", "0")
+        with pytest.raises(SizeGuardError, match="exceeds limit 0"):
             minimize(worked, "sum")
 
     def test_all_profiles_guarded_too(self, worked):
