@@ -38,26 +38,8 @@ EXIT_TOO_LARGE = 4
 # Forceable solver names besides "oracle" and "auto".
 _ROUTES = {route.name: route for route in classify.ROUTES}
 
-# generate --reduction name -> (source parser, generator, objectives)
-REDUCTIONS = {
-    "x3c-stars": (reductions.parse_x3c, reductions.gen_minmax_outstars, ("max",)),
-    "x3c-trees": (reductions.parse_x3c, reductions.gen_minsum_outtrees, ("sum",)),
-    "sat-2agents": (
-        reductions.parse_dimacs,
-        reductions.gen_two_agents_sat,
-        ("sum", "max"),
-    ),
-    "x3c-matchings": (
-        reductions.parse_x3c,
-        reductions.gen_minmax_matchings,
-        ("max",),
-    ),
-    "sat-paths": (
-        reductions.parse_dimacs,
-        reductions.gen_minmax_two_paths_sat,
-        ("max",),
-    ),
-}
+# generate --reduction name -> reduction
+_REDUCTIONS = {red.cli_name: red for red in reductions.REDUCTIONS.values()}
 
 
 class _CliError(Exception):
@@ -219,15 +201,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _generate_reduction(args: argparse.Namespace) -> int:
-    parse, generate, objectives = REDUCTIONS[args.reduction]
+    red = _REDUCTIONS[args.reduction]
     try:
-        source = parse(_read_text(args.source))
-        built = generate(source)
+        inst, *bounds = red.generate(red.parse(_read_text(args.source)))
     except (ParseError, PreconditionError) as exc:
         raise _CliError(EXIT_INPUT, str(exc)) from None
-    inst, bounds = built[0], built[1:]
     _emit(serialize_instance(inst))
-    pairs = " ".join(f"{o}<={b}" for o, b in zip(objectives, bounds))
+    pairs = " ".join(f"{o}<={b}" for o, b in zip(red.objectives, bounds))
     print(f"reduction {args.reduction}: decide {pairs}", file=sys.stderr)
     return EXIT_OK
 
@@ -299,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = gen.add_mutually_exclusive_group(required=True)
     mode.add_argument(
         "--reduction",
-        choices=sorted(REDUCTIONS),
+        choices=sorted(_REDUCTIONS),
         help="build a hardness instance from a source problem file",
     )
     mode.add_argument(

@@ -433,8 +433,8 @@ def dissatisfaction(inst: Instance, alloc: Allocation, agent: AgentId) -> int:
 
 
 def satisfaction(inst: Instance, alloc: Allocation, agent: AgentId) -> int:
-    g = inst.graph(agent)
-    return _popcount(g.dominated_mask(alloc.get(agent)))
+    """Number of items in the agent's graph covered by its bundle."""
+    return len(inst.graph(agent).items) - dissatisfaction(inst, alloc, agent)
 
 
 def profile(inst: Instance, alloc: Allocation) -> DissatisfactionProfile:

@@ -14,16 +14,6 @@ from collections.abc import Callable
 
 from .core import Instance, PreconditionError, PreferenceGraph
 
-SHAPES = (
-    "matching",
-    "path",
-    "disjoint-paths",
-    "out-star",
-    "out-tree",
-    "union-out-stars",
-    "dag",
-)
-
 
 def _pool(num_items: int) -> list[str]:
     return [f"i{k}" for k in range(1, num_items + 1)]
@@ -110,6 +100,7 @@ _BUILDERS: dict[str, Callable[[random.Random, list[str]], PreferenceGraph]] = {
     "union-out-stars": union_out_stars_graph,
     "dag": dag_graph,
 }
+SHAPES = tuple(_BUILDERS)
 
 
 def random_instance(

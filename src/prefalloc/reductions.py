@@ -4,7 +4,9 @@ Turn exact-cover and 3-CNF sources into allocation instances with a known
 decision threshold.  Forward builders translate a source certificate (an
 exact cover, a satisfying assignment) into an allocation meeting the
 threshold; extractors recover a certificate from any threshold-meeting
-allocation.
+allocation.  `REDUCTIONS` is the one list of reductions: it wires each
+to its CLI name, source parser, generator, bound objectives, forward
+witness and extractor.
 
 Item and agent naming is fixed so generated instances are byte-stable:
 hub items "h:<i>", per-set index items "c:<j>", ground elements
@@ -14,7 +16,7 @@ hub items "h:<i>", per-set index items "c:<j>", ground elements
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 from .classify import (
@@ -25,13 +27,14 @@ from .classify import (
 )
 from .core import (
     Allocation,
+    DissatisfactionProfile,
     Instance,
     ParseError,
     PreconditionError,
     PreferenceGraph,
+    ValidationError,
     load_json,
     profile,
-    validate_allocation,
 )
 
 # -- source problems -------------------------------------------------------
@@ -523,8 +526,13 @@ def _require_model(formula: Cnf3Formula, witness: Iterable[bool]) -> tuple[bool,
     return model
 
 
-def _outstars_witness(source: X3CInstance, cover: tuple[int, ...]) -> Allocation:
-    ell = 2 * source.p // 3 + 1
+# source type -> the check that turns a claimed certificate into a verified one
+_REQUIRE = {X3CInstance: _require_cover, Cnf3Formula: _require_model}
+
+
+def _outstars_witness(
+    source: X3CInstance, cover: tuple[int, ...], ell: int
+) -> Allocation:
     bundles: dict[str, set[str]] = {f"D:{i}": {f"h:{i}"} for i in range(1, ell + 2)}
     bundles["A"] = {f"c:{j}" for j in cover}
     chosen = set(cover)
@@ -536,8 +544,10 @@ def _outstars_witness(source: X3CInstance, cover: tuple[int, ...]) -> Allocation
     return Allocation.of(bundles)
 
 
-def _outtrees_witness(source: X3CInstance, cover: tuple[int, ...]) -> Allocation:
-    top = 3 * (2 * source.p * source.p + source.p // 3 + 1) - 2
+def _outtrees_witness(
+    source: X3CInstance, cover: tuple[int, ...], depth: int
+) -> Allocation:
+    top = 3 * depth - 2
     bundles: dict[str, set[str]] = {f"A:{i}": {f"h:{i}"} for i in range(1, top + 1)}
     bundles["B"] = {"e", *(f"c:{j}" for j in cover)}
     chosen = set(cover)
@@ -549,7 +559,9 @@ def _outtrees_witness(source: X3CInstance, cover: tuple[int, ...]) -> Allocation
     return Allocation.of(bundles)
 
 
-def _two_agents_witness(formula: Cnf3Formula, model: tuple[bool, ...]) -> Allocation:
+def _two_agents_witness(
+    formula: Cnf3Formula, model: tuple[bool, ...], _sum_bound: int
+) -> Allocation:
     one: set[str] = set()
     two: set[str] = set()
     for i in range(1, formula.num_vars + 1):
@@ -564,8 +576,9 @@ def _two_agents_witness(formula: Cnf3Formula, model: tuple[bool, ...]) -> Alloca
     return Allocation.of({"1": one, "2": two})
 
 
-def _matchings_witness(source: X3CInstance, cover: tuple[int, ...]) -> Allocation:
-    ell = 4 * source.p // 3
+def _matchings_witness(
+    source: X3CInstance, cover: tuple[int, ...], ell: int
+) -> Allocation:
     bundles: dict[str, set[str]] = {
         f"D:{i}": {f"h:{i}", f"a:{i}"} for i in range(1, ell + 2)
     }
@@ -581,7 +594,9 @@ def _matchings_witness(source: X3CInstance, cover: tuple[int, ...]) -> Allocatio
     return Allocation.of(bundles)
 
 
-def _two_paths_witness(formula: Cnf3Formula, model: tuple[bool, ...]) -> Allocation:
+def _two_paths_witness(
+    formula: Cnf3Formula, model: tuple[bool, ...], _bound: int
+) -> Allocation:
     n, m = formula.num_vars, formula.num_clauses
     bundles: dict[str, set[str]] = {"b:1": {"z1"}, "b:2": {"z2"}, "b:3": {"z3"}}
     for i in range(1, n + 1):
@@ -598,59 +613,7 @@ def _two_paths_witness(formula: Cnf3Formula, model: tuple[bool, ...]) -> Allocat
     return Allocation.of(bundles)
 
 
-def witness_allocation(kind: str, source, witness) -> Allocation:
-    """Translate a source certificate into a threshold-meeting allocation.
-
-    `witness` is a sequence of 1-based triple indices (cover gadgets) or
-    of booleans per variable (formula gadgets).
-    """
-    if kind == "minmax-outstars":
-        cover = _require_cover(source, witness)
-        inst, bound = gen_minmax_outstars(source)
-        alloc = _outstars_witness(source, cover)
-        assert profile(inst, alloc).maximum <= bound
-    elif kind == "minsum-outtrees":
-        cover = _require_cover(source, witness)
-        inst, bound = gen_minsum_outtrees(source)
-        alloc = _outtrees_witness(source, cover)
-        assert profile(inst, alloc).total <= bound
-    elif kind == "two-agents-sat":
-        model = _require_model(source, witness)
-        inst, sum_bound, max_bound = gen_two_agents_sat(source)
-        alloc = _two_agents_witness(source, model)
-        prof = profile(inst, alloc)
-        assert prof.total <= sum_bound and prof.maximum <= max_bound
-    elif kind == "minmax-matchings":
-        cover = _require_cover(source, witness)
-        inst, bound = gen_minmax_matchings(source)
-        alloc = _matchings_witness(source, cover)
-        assert profile(inst, alloc).maximum <= bound
-    elif kind == "minmax-two-paths":
-        model = _require_model(source, witness)
-        inst, bound = gen_minmax_two_paths_sat(source)
-        alloc = _two_paths_witness(source, model)
-        assert profile(inst, alloc).maximum <= bound
-    else:
-        raise PreconditionError(f"unknown reduction kind {kind!r}")
-    return alloc
-
-
 # -- certificate extraction ---------------------------------------------------
-
-
-def _check_met(inst, alloc, *, sum_at_most=None, max_at_most=None):
-    problems = validate_allocation(inst, alloc)
-    if problems:
-        raise PreconditionError("allocation invalid: " + "; ".join(problems[:3]))
-    prof = profile(inst, alloc)
-    if sum_at_most is not None and prof.total > sum_at_most:
-        raise PreconditionError(
-            f"total dissatisfaction {prof.total} exceeds bound {sum_at_most}"
-        )
-    if max_at_most is not None and prof.maximum > max_at_most:
-        raise PreconditionError(
-            f"max dissatisfaction {prof.maximum} exceeds bound {max_at_most}"
-        )
 
 
 def _fully_received_sets(source: X3CInstance, alloc: Allocation) -> tuple[int, ...]:
@@ -661,6 +624,91 @@ def _fully_received_sets(source: X3CInstance, alloc: Allocation) -> tuple[int, .
     return tuple(out)
 
 
+def _outtrees_cover(source: X3CInstance, alloc: Allocation) -> tuple[int, ...]:
+    return tuple(
+        j for j in range(1, source.p + 1) if f"c:{j}" not in alloc.get(f"C:{j}")
+    )
+
+
+def _two_agents_model(formula: Cnf3Formula, alloc: Allocation) -> tuple[bool, ...]:
+    one = alloc.get("1")
+    return tuple(f"v:{i}" in one for i in range(1, formula.num_vars + 1))
+
+
+def _two_paths_model(formula: Cnf3Formula, alloc: Allocation) -> tuple[bool, ...]:
+    """Variable i is true when some agent a:<i>:<j> holds its true-side pair."""
+    m = formula.num_clauses
+    return tuple(
+        any(
+            {f"v:{i}:{j % m + 1}", f"nlit:{i}:{j}"} <= alloc.get(f"a:{i}:{j}")
+            for j in range(1, m + 1)
+        )
+        for i in range(1, formula.num_vars + 1)
+    )
+
+
+# -- the reduction table -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Reduction:
+    """One gadget reduction: how its source is read, built and certified."""
+
+    cli_name: str  # the `prefalloc generate --reduction` name
+    source: type  # X3CInstance or Cnf3Formula
+    parse: Callable[[str | bytes], object]  # source document -> source
+    generate: Callable[..., tuple]  # source -> (instance, bound, ...)
+    objectives: tuple[str, ...]  # the objective of each bound, in order
+    witness: Callable[..., Allocation]  # (source, certificate, first bound) -> allocation
+    extract: Callable[..., tuple]  # (source, bound-meeting allocation) -> certificate
+
+
+# library kind -> reduction; the CLI's `generate --reduction` names come from here
+REDUCTIONS: dict[str, Reduction] = {
+    "minmax-outstars": Reduction("x3c-stars", X3CInstance, parse_x3c, gen_minmax_outstars,
+                                 ("max",), _outstars_witness, _fully_received_sets),
+    "minsum-outtrees": Reduction("x3c-trees", X3CInstance, parse_x3c, gen_minsum_outtrees,
+                                 ("sum",), _outtrees_witness, _outtrees_cover),
+    "two-agents-sat": Reduction("sat-2agents", Cnf3Formula, parse_dimacs, gen_two_agents_sat,
+                                ("sum", "max"), _two_agents_witness, _two_agents_model),
+    "minmax-matchings": Reduction("x3c-matchings", X3CInstance, parse_x3c, gen_minmax_matchings,
+                                  ("max",), _matchings_witness, _fully_received_sets),
+    "minmax-two-paths": Reduction("sat-paths", Cnf3Formula, parse_dimacs, gen_minmax_two_paths_sat,
+                                  ("max",), _two_paths_witness, _two_paths_model),
+}
+
+
+def _reduction(kind: str, source) -> Reduction:
+    red = REDUCTIONS.get(kind)
+    if red is None:
+        raise PreconditionError(f"unknown reduction kind {kind!r}")
+    if not isinstance(source, red.source):
+        raise PreconditionError(
+            f"reduction {kind!r} takes a source of type {red.source.__name__},"
+            f" not {type(source).__name__}"
+        )
+    return red
+
+
+def _value(prof: DissatisfactionProfile, objective: str) -> int:
+    return prof.total if objective == "sum" else prof.maximum
+
+
+def witness_allocation(kind: str, source, witness) -> Allocation:
+    """Translate a source certificate into a threshold-meeting allocation.
+
+    `witness` is a sequence of 1-based triple indices (cover gadgets) or
+    of booleans per variable (formula gadgets).
+    """
+    red = _reduction(kind, source)
+    cert = _REQUIRE[red.source](source, witness)
+    inst, *bounds = red.generate(source)
+    alloc = red.witness(source, cert, bounds[0])
+    prof = profile(inst, alloc)
+    assert all(_value(prof, o) <= b for o, b in zip(red.objectives, bounds))
+    return alloc
+
+
 def witness_extract(kind: str, source, alloc: Allocation):
     """Recover a source certificate from a threshold-meeting allocation.
 
@@ -669,48 +717,21 @@ def witness_extract(kind: str, source, alloc: Allocation):
     allocation is invalid for the generated instance or misses the
     threshold.
     """
-    if kind == "minmax-outstars":
-        inst, bound = gen_minmax_outstars(source)
-        _check_met(inst, alloc, max_at_most=bound)
-        cover = _fully_received_sets(source, alloc)
-        assert source.is_exact_cover(cover)
-        return cover
-    if kind == "minsum-outtrees":
-        inst, bound = gen_minsum_outtrees(source)
-        _check_met(inst, alloc, sum_at_most=bound)
-        cover = tuple(
-            j for j in range(1, source.p + 1) if f"c:{j}" not in alloc.get(f"C:{j}")
-        )
-        assert source.is_exact_cover(cover)
-        return cover
-    if kind == "two-agents-sat":
-        inst, sum_bound, _ = gen_two_agents_sat(source)
-        _check_met(inst, alloc, sum_at_most=sum_bound)
-        one = alloc.get("1")
-        model = tuple(f"v:{i}" in one for i in range(1, source.num_vars + 1))
-        assert satisfies(source, model)
-        return model
-    if kind == "minmax-matchings":
-        inst, bound = gen_minmax_matchings(source)
-        _check_met(inst, alloc, max_at_most=bound)
-        cover = _fully_received_sets(source, alloc)
-        assert source.is_exact_cover(cover)
-        return cover
-    if kind == "minmax-two-paths":
-        inst, bound = gen_minmax_two_paths_sat(source)
-        _check_met(inst, alloc, max_at_most=bound)
-        n, m = source.num_vars, source.num_clauses
-        model = []
-        for i in range(1, n + 1):
-            holds = False
-            for j in range(1, m + 1):
-                nxt = j + 1 if j < m else 1
-                mine = alloc.get(f"a:{i}:{j}")
-                if f"v:{i}:{nxt}" in mine and f"nlit:{i}:{j}" in mine:
-                    holds = True
-                    break
-            model.append(holds)
-        result = tuple(model)
-        assert satisfies(source, result)
-        return result
-    raise PreconditionError(f"unknown reduction kind {kind!r}")
+    red = _reduction(kind, source)
+    inst, bound = red.generate(source)[:2]
+    try:
+        prof = profile(inst, alloc)
+    except ValidationError as exc:
+        raise PreconditionError(
+            "allocation invalid: " + "; ".join(exc.violations[:3])
+        ) from None
+    # Only the first bound is checked: the two-agent gadget's max bound n
+    # implies its sum bound 2n, so the sum check accepts both decisions.
+    objective = red.objectives[0]
+    value = _value(prof, objective)
+    if value > bound:
+        word = "total" if objective == "sum" else "max"
+        raise PreconditionError(f"{word} dissatisfaction {value} exceeds bound {bound}")
+    cert = red.extract(source, alloc)
+    assert _REQUIRE[red.source](source, cert) == cert
+    return cert

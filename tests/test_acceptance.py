@@ -377,6 +377,16 @@ def test_criterion_08c_two_agent_gadget_decides_the_corpus():
     )
 
 
+def test_max_decision_witnesses_extract_on_the_corpus():
+    # A "yes" at the max bound n also meets the sum bound 2n that
+    # extraction checks, so its witness yields a model too.
+    for formula in SAT_CORPUS:
+        inst, _, max_bound = gen_two_agents_sat(formula)
+        alloc = exact.decide(inst, "max", max_bound)
+        assert alloc is not None
+        assert satisfies(formula, witness_extract("two-agents-sat", formula, alloc))
+
+
 def test_criterion_09_generated_instances_pass_class_checks():
     rng = random.Random(9)
     good = total = 0

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from prefalloc import classify, randgen
+from prefalloc import classify, randgen, reductions
 from prefalloc.cli import main
 from prefalloc.core import serialize_instance
+from prefalloc.reductions import Cnf3Formula, X3CInstance
 
 from conftest import graph, instance
 
@@ -266,6 +267,19 @@ class TestClassify:
         assert set(report["agents"]) == {"1", "2", "3"}
 
 
+# One source per source type.  The cover has q = 2 and p = 6, enough sets
+# for x3c-matchings; the formula has three distinct variables per clause
+# and two clauses, as sat-paths needs.
+REDUCTION_SOURCES = {
+    X3CInstance: json.dumps({
+        "X": ["e1", "e2", "e3", "e4", "e5", "e6"],
+        "C": [["e1", "e2", "e3"], ["e4", "e5", "e6"], ["e1", "e2", "e4"],
+              ["e3", "e5", "e6"], ["e1", "e2", "e5"], ["e3", "e4", "e6"]],
+    }),
+    Cnf3Formula: "p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n",
+}
+
+
 class TestGenerate:
     def test_random_is_deterministic(self, capsys):
         args = ("generate", "--random", "path", "--items", "6", "--agents", "2",
@@ -311,6 +325,21 @@ class TestGenerate:
         )
         assert code == 2
         assert "6 sets" in err
+
+    @pytest.mark.parametrize(
+        "red", reductions.REDUCTIONS.values(), ids=lambda red: red.cli_name
+    )
+    def test_reduction_output_matches_its_generator(self, red, tmp_path, capsys):
+        text = REDUCTION_SOURCES[red.source]
+        src = tmp_path / "source"
+        src.write_text(text)
+        code, out, err = run(capsys, "generate", "--reduction", red.cli_name, str(src))
+        inst, *bounds = red.generate(red.parse(text))
+        assert code == 0
+        assert out == serialize_instance(inst)
+        assert len(bounds) == len(red.objectives)
+        pairs = " ".join(f"{o}<={b}" for o, b in zip(red.objectives, bounds))
+        assert err == f"reduction {red.cli_name}: decide {pairs}\n"
 
     def test_bad_source(self, tmp_path, capsys):
         src = tmp_path / "cover.json"

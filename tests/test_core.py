@@ -152,6 +152,13 @@ class TestDissatisfaction:
         assert satisfaction(worked, alloc, "1") == 3
         assert dissatisfaction(worked, alloc, "1") == 0
 
+    def test_satisfaction_refuses_invalid(self, worked):
+        bad = Allocation.of({"1": {"a"}, "2": {"a"}})
+        with pytest.raises(ValidationError):
+            dissatisfaction(worked, bad, "1")
+        with pytest.raises(ValidationError):
+            satisfaction(worked, bad, "1")
+
     def test_profile_tuple_follows_agent_order(self, worked):
         prof = profile(worked, Allocation.of({"2": {"b"}}))
         assert prof.agents == ("1", "2", "3")

@@ -6,7 +6,13 @@ import pytest
 
 from prefalloc import classify, exact
 from prefalloc.classify import GraphClass
-from prefalloc.core import ParseError, PreconditionError, profile, validate_allocation
+from prefalloc.core import (
+    Allocation,
+    ParseError,
+    PreconditionError,
+    profile,
+    validate_allocation,
+)
 from prefalloc.reductions import (
     Cnf3Formula,
     X3CInstance,
@@ -275,6 +281,11 @@ class TestTwoAgents:
         with pytest.raises(PreconditionError):
             witness_allocation("two-agents-sat", SAT, (False, True, True, True))
 
+    def test_extract_refuses_allocation_above_sum_bound(self):
+        # 14 items in both graphs, none allocated: 28 against the sum bound 8
+        with pytest.raises(PreconditionError, match="total dissatisfaction 28 exceeds bound 8$"):
+            witness_extract("two-agents-sat", SAT, Allocation.empty())
+
     def test_oracle_decides_satisfiability(self):
         inst, sum_bound, _ = gen_two_agents_sat(SAT)
         alloc = exact.decide(inst, "sum", sum_bound)
@@ -342,10 +353,43 @@ class TestTwoPaths:
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="unknown reduction kind 'nonsense'"):
         witness_allocation("nonsense", COVER_Q1, (1,))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="unknown reduction kind 'nonsense'"):
         witness_extract("nonsense", COVER_Q1, None)
+
+
+WRONG_SOURCES = [
+    ("minmax-outstars", SAT, "of type X3CInstance, not Cnf3Formula$"),
+    ("minsum-outtrees", SAT, "of type X3CInstance, not Cnf3Formula$"),
+    ("minmax-matchings", DISTINCT_SAT, "of type X3CInstance, not Cnf3Formula$"),
+    ("two-agents-sat", COVER_Q1, "of type Cnf3Formula, not X3CInstance$"),
+    ("minmax-two-paths", COVER_Q2, "of type Cnf3Formula, not X3CInstance$"),
+]
+
+
+@pytest.mark.parametrize("kind, source, message", WRONG_SOURCES, ids=[c[0] for c in WRONG_SOURCES])
+def test_wrong_source_type_rejected(kind, source, message):
+    with pytest.raises(PreconditionError, match=message):
+        witness_allocation(kind, source, (1, 2))
+    with pytest.raises(PreconditionError, match=message):
+        witness_extract(kind, source, Allocation.empty())
+
+
+@pytest.mark.parametrize(
+    "kind, source, cert, message",
+    [
+        ("minmax-outstars", COVER_Q1, (2,), "max dissatisfaction 6 exceeds bound 3$"),
+        ("minsum-outtrees", COVER_Q1, (3,), "total dissatisfaction 4030 exceeds bound 20$"),
+        ("minmax-two-paths", DISTINCT_SAT, DISTINCT_MODEL, "max dissatisfaction 5 exceeds bound 2$"),
+    ],
+)
+def test_extract_refuses_invalid_and_unmet_allocations(kind, source, cert, message):
+    stray = Allocation.of({**witness_allocation(kind, source, cert).as_dict(), "zz": {"q"}})
+    with pytest.raises(PreconditionError, match="^allocation invalid: unknown agent 'zz'$"):
+        witness_extract(kind, source, stray)
+    with pytest.raises(PreconditionError, match=message):
+        witness_extract(kind, source, Allocation.empty())
 
 
 def test_all_generated_graphs_pass_their_class_check():
