@@ -1,14 +1,14 @@
-"""Structural classification of preference graphs, and solver routing.
+"""Solver routing by graph shape and junction count.
 
-Solvers specialize on graph shape.  The shape labels are a fact about a
-graph, so `core` derives them once per graph, on first read of
-`PreferenceGraph.classes` (the `GraphClass` enum lives there too and is
-re-exported here), and likewise the junction set, `junctions`.  Labels
-are not a partition: a single vertex is simultaneously an out-star, a
-path, and more.  `graph_class` returns the most specific label under a
-fixed priority, and the `is_*` predicates answer individual membership;
-each predicate's docstring is the definition of its label.  This module
-owns routing.
+Solvers specialize on graph shape.  The shape labels and the junction
+set are facts about one graph, so `core` derives them once per graph:
+`PreferenceGraph.classes` (each `GraphClass` member's docstring defines
+its label; the enum is re-exported here) and `PreferenceGraph.junctions`.
+Callers read those directly.  This module keeps what is about a whole
+instance: `instance_class`, the most specific label every agent's graph
+shares; `misfit_agent`, the first agent whose graph lacks a label;
+`junction_count`, the junctions of all agents with multiplicity; and the
+routing itself.
 
 `ROUTES` is the route table: per exact polynomial solver, the objective
 it minimizes, the class every agent's graph must have, the agent count
@@ -23,51 +23,7 @@ from __future__ import annotations
 import importlib
 from dataclasses import dataclass
 
-from .core import GraphClass, Instance, PreconditionError, PreferenceGraph
-
-
-def is_out_star(g: PreferenceGraph) -> bool:
-    """One root with arcs to every other vertex, and no other arcs.
-
-    A single vertex with no arcs qualifies (root with zero leaves).
-    """
-    return GraphClass.OUT_STAR in g.classes
-
-
-def is_out_tree(g: PreferenceGraph) -> bool:
-    """One in-degree-0 root, every other vertex in-degree 1, all reachable."""
-    return GraphClass.OUT_TREE in g.classes
-
-
-def is_path(g: PreferenceGraph) -> bool:
-    """A single directed path covering every vertex.
-
-    Single vertices count (a path of length zero).
-    """
-    return GraphClass.PATH in g.classes
-
-
-def is_disjoint_paths(g: PreferenceGraph) -> bool:
-    """A nonempty union of disjoint paths: in- and out-degrees at most one."""
-    return GraphClass.DISJOINT_PATHS in g.classes
-
-
-def is_directed_matching(g: PreferenceGraph) -> bool:
-    """Disjoint arcs covering all vertices: every vertex has total degree one.
-
-    The empty graph qualifies vacuously; an isolated vertex disqualifies.
-    """
-    return GraphClass.DIRECTED_MATCHING in g.classes
-
-
-def is_union_out_stars(g: PreferenceGraph) -> bool:
-    """Nonempty disjoint union of out-stars (isolated vertices allowed).
-
-    Characterized vertex-locally: in-degrees at most one, and no vertex
-    has both in-arcs and out-arcs.
-    """
-    return GraphClass.UNION_OUT_STARS in g.classes
-
+from .core import GraphClass, Instance, PreconditionError
 
 #: Labels from most to least specific.
 _PRIORITY = (
@@ -81,30 +37,16 @@ _PRIORITY = (
 )
 
 
-def _most_specific(labels: frozenset[GraphClass]) -> GraphClass:
-    return next(label for label in _PRIORITY if label in labels)
-
-
-def graph_class(g: PreferenceGraph) -> GraphClass:
-    """Most specific class label for a single graph."""
-    return _most_specific(g.classes)
-
-
-def graph_classes(g: PreferenceGraph) -> frozenset[GraphClass]:
-    """All class labels the graph satisfies (always includes GENERAL_DAG)."""
-    return g.classes
-
-
 def instance_class(inst: Instance) -> GraphClass:
-    """Most specific label shared by every agent's graph."""
+    """Most specific label shared by every agent's graph.
+
+    An instance with no agents reports GENERAL_DAG, though every route's
+    shape holds of its agents vacuously and `dispatch` picks accordingly.
+    """
     if not inst.agents:
         return GraphClass.GENERAL_DAG
     shared = frozenset.intersection(*(inst.graphs[a].classes for a in inst.agents))
-    return _most_specific(shared)
-
-
-def all_graphs_are(inst: Instance, label: GraphClass) -> bool:
-    return misfit_agent(inst, label) is None
+    return next(label for label in _PRIORITY if label in shared)
 
 
 def misfit_agent(inst: Instance, label: GraphClass) -> str | None:
@@ -112,30 +54,9 @@ def misfit_agent(inst: Instance, label: GraphClass) -> str | None:
     return next((a for a in inst.agents if label not in inst.graphs[a].classes), None)
 
 
-# -- junction vertices ---------------------------------------------------
-
-
-def junctions(g: PreferenceGraph) -> frozenset[str]:
-    """Vertices with in-degree above one or out-degree above one."""
-    return g.junctions
-
-
 def junction_count(inst: Instance) -> int:
     """Total junction vertices across all agents' graphs."""
-    return sum(len(junctions(inst.graphs[a])) for a in inst.agents)
-
-
-@dataclass(frozen=True)
-class JunctionSummary:
-    """Junction vertices per agent plus their total with multiplicity."""
-
-    per_agent: dict[str, frozenset[str]]
-    gamma: int
-
-
-def junction_summary(inst: Instance) -> JunctionSummary:
-    per = {a: junctions(inst.graphs[a]) for a in inst.agents}
-    return JunctionSummary(per, sum(len(s) for s in per.values()))
+    return sum(len(inst.graphs[a].junctions) for a in inst.agents)
 
 
 # -- solver routing --------------------------------------------------------
@@ -167,7 +88,7 @@ class Route:
     def fits(self, inst: Instance) -> bool:
         if self.agents is not None and inst.num_agents != self.agents:
             return False
-        return all_graphs_are(inst, self.shape)
+        return misfit_agent(inst, self.shape) is None
 
     def solve(self, inst: Instance):
         # Looked up on the module at call time: the solver modules import

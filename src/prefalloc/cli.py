@@ -181,20 +181,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    summary = classify.junction_summary(inst)
-    recommended = {}
-    for objective in ("sum", "max"):
-        choice = classify.dispatch(inst, objective)
-        recommended[objective] = choice.name
     report = {
         "agents": {
-            a: sorted(label.value for label in classify.graph_classes(inst.graph(a)))
-            for a in inst.agents
+            a: sorted(label.value for label in inst.graphs[a].classes) for a in inst.agents
         },
         "instance_class": classify.instance_class(inst).value,
-        "junctions": {a: sorted(js) for a, js in summary.per_agent.items()},
-        "gamma": summary.gamma,
-        "recommended": recommended,
+        "junctions": {a: sorted(inst.graphs[a].junctions) for a in inst.agents},
+        "gamma": classify.junction_count(inst),
+        "recommended": {o: classify.dispatch(inst, o).name for o in ("sum", "max")},
     }
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK

@@ -60,15 +60,35 @@ def _popcount(x: int) -> int:
 
 
 class GraphClass(enum.Enum):
-    """Shape labels of a preference graph; `classify` documents each one."""
+    """Shape labels of a preference graph; `PreferenceGraph.classes` decides them.
+
+    Labels are not a partition: a single vertex is an out-star, a path
+    and more at once.  Each member's docstring defines its label.
+    """
 
     OUT_STAR = "out-star"
+    """One root with arcs to every other vertex, and no other arcs.
+
+    A single vertex with no arcs qualifies (root with zero leaves)."""
     OUT_TREE = "out-tree"
+    """One in-degree-0 root, every other vertex in-degree 1, all reachable."""
     PATH = "path"
+    """A single directed path covering every vertex.
+
+    Single vertices count (a path of length zero)."""
     DISJOINT_PATHS = "disjoint-paths"
+    """A nonempty union of disjoint paths: in- and out-degrees at most one."""
     DIRECTED_MATCHING = "directed-matching"
+    """Disjoint arcs covering all vertices: every vertex has total degree one.
+
+    The empty graph qualifies vacuously; an isolated vertex disqualifies."""
     UNION_OUT_STARS = "union-of-out-stars"
+    """Nonempty disjoint union of out-stars (isolated vertices allowed).
+
+    Characterized vertex-locally: in-degrees at most one, and no vertex
+    has both in-arcs and out-arcs."""
     GENERAL_DAG = "general-dag"
+    """Any acyclic graph: every graph has this label."""
 
 
 @dataclass(frozen=True)
@@ -555,6 +575,8 @@ def parse_allocation(
     does not desire them are dropped with a warning instead of being kept
     for validation to reject.
     """
+    if lenient and inst is None:
+        raise PreconditionError("lenient parsing requires an instance")
     data = load_json(text)
     _expect(isinstance(data, dict), "top level must be an object", "$")
     _expect("allocation" in data, 'missing "allocation"', "$")
@@ -568,18 +590,15 @@ def parse_allocation(
         for j, v in enumerate(raw):
             _expect(isinstance(v, str), "item ids must be strings", f"{loc}[{j}]")
             bundle.add(v)
-        if lenient:
-            if inst is None:
-                raise PreconditionError("lenient parsing requires an instance")
-            if agent in inst.graphs:
-                drop = bundle - inst.graphs[agent].items
-                if drop:
-                    warnings.warn(
-                        f"dropping {sorted(drop)} from agent {agent!r}: not desired",
-                        NormalizationWarning,
-                        stacklevel=2,
-                    )
-                    bundle -= drop
+        if lenient and agent in inst.graphs:
+            drop = bundle - inst.graphs[agent].items
+            if drop:
+                warnings.warn(
+                    f"dropping {sorted(drop)} from agent {agent!r}: not desired",
+                    NormalizationWarning,
+                    stacklevel=2,
+                )
+                bundle -= drop
         out[agent] = bundle
     return Allocation.of(out)
 

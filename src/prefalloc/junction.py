@@ -47,7 +47,6 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .classify import junctions
 from .core import Allocation, Instance, SizeGuardError, profile
 from .kernels import max_profit_flow
 from .polyalgos import Chain, SolveResult, _chain_network, _chains
@@ -69,8 +68,7 @@ def minsum_few_junctions(
     inst: Instance, max_junctions: int | None = None
 ) -> SolveResult:
     """Exact min-sum solver parameterized by the total junction count."""
-    juncs = {a: junctions(inst.graphs[a]) for a in inst.agents}
-    gamma = sum(len(js) for js in juncs.values())
+    gamma = sum(len(inst.graphs[a].junctions) for a in inst.agents)
     if max_junctions is not None and gamma > max_junctions:
         raise SizeGuardError(
             f"{gamma} junction vertices exceed the limit {max_junctions}"
@@ -78,7 +76,7 @@ def minsum_few_junctions(
     # Guesses run through the agents in order, each over its sorted
     # junctions, so this product is the product over all (agent, junction)
     # slots with the infeasible local cases left out.
-    cases = [_agent_cases(inst.graphs[a], sorted(juncs[a])) for a in inst.agents]
+    cases = [_agent_cases(inst.graphs[a]) for a in inst.agents]
     total_items = sum(len(inst.graphs[a].items) for a in inst.agents)
 
     best_sat, best = -1, None
@@ -101,9 +99,10 @@ def minsum_few_junctions(
     return SolveResult(value, witness)
 
 
-def _agent_cases(g, js: list[str]) -> list[_Case]:
-    """Consistent cases at the junctions js of one agent's graph g, in guess order."""
-    chains = _chains(g, frozenset(js))
+def _agent_cases(g) -> list[_Case]:
+    """Consistent cases at the junctions of one agent's graph g, in guess order."""
+    js = sorted(g.junctions)
+    chains = _chains(g, g.junctions)
     succ = {v: g.successors(v) for v in js}
     pred = {v: g.predecessors(v) for v in js}
     out = []

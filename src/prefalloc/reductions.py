@@ -19,15 +19,10 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
-from .classify import (
-    is_directed_matching,
-    is_disjoint_paths,
-    is_out_star,
-    is_out_tree,
-)
 from .core import (
     Allocation,
     DissatisfactionProfile,
+    GraphClass,
     Instance,
     ParseError,
     PreconditionError,
@@ -299,7 +294,7 @@ def gen_minmax_outstars(source: X3CInstance) -> tuple[Instance, int]:
 
     inst = Instance.build(items, graphs, warn_dropped=False)
     assert inst.num_items == len(items)
-    assert all(is_out_star(g) for g in inst.graphs.values())
+    assert all(GraphClass.OUT_STAR in g.classes for g in inst.graphs.values())
     return inst, ell
 
 
@@ -359,7 +354,9 @@ def gen_minsum_outtrees(source: X3CInstance) -> tuple[Instance, int]:
 
     inst = Instance.build(items, graphs, warn_dropped=False)
     assert inst.num_items == len(items)
-    assert all(g.items == full and is_out_tree(g) for g in inst.graphs.values())
+    assert all(
+        g.items == full and GraphClass.OUT_TREE in g.classes for g in inst.graphs.values()
+    )
     return inst, depth
 
 
@@ -455,7 +452,7 @@ def gen_minmax_matchings(source: X3CInstance) -> tuple[Instance, int]:
     inst = Instance.build(items, graphs, warn_dropped=False)
     assert inst.num_items == len(items)
     assert ell % 2 == 0
-    assert all(is_directed_matching(g) for g in inst.graphs.values())
+    assert all(GraphClass.DIRECTED_MATCHING in g.classes for g in inst.graphs.values())
     return inst, ell
 
 
@@ -502,7 +499,7 @@ def gen_minmax_two_paths_sat(formula: Cnf3Formula) -> tuple[Instance, int]:
     inst = Instance.build(items, graphs, warn_dropped=False)
     assert inst.num_items == 3 + 3 * n * m
     for g in inst.graphs.values():
-        assert is_disjoint_paths(g) and len(g.items) <= 5
+        assert GraphClass.DISJOINT_PATHS in g.classes and len(g.items) <= 5
         assert sum(1 for v in g.items if g.in_degree(v) == 0) <= 2
     return inst, 2
 

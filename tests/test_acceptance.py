@@ -14,6 +14,7 @@ import sys
 from prefalloc import classify, exact, randgen
 from prefalloc.core import (
     Allocation,
+    GraphClass,
     profile,
     serialize_instance,
     validate_allocation,
@@ -394,16 +395,16 @@ def test_criterion_09_generated_instances_pass_class_checks():
         inst, _ = _generated_and_bound(kind, src)
         total += 1
         if kind == "minmax-outstars":
-            good += all(classify.is_out_star(inst.graphs[a]) for a in inst.agents)
+            good += all(GraphClass.OUT_STAR in inst.graphs[a].classes for a in inst.agents)
         elif kind == "minsum-outtrees":
             good += all(
-                classify.is_out_tree(inst.graphs[a])
+                GraphClass.OUT_TREE in inst.graphs[a].classes
                 and inst.graphs[a].items == frozenset(inst.items)
                 for a in inst.agents
             )
         elif kind == "minmax-matchings":
             good += all(
-                classify.is_directed_matching(inst.graphs[a]) for a in inst.agents
+                GraphClass.DIRECTED_MATCHING in inst.graphs[a].classes for a in inst.agents
             )
         elif kind == "two-agents-sat":
             good += inst.num_agents == 2 and all(
@@ -411,7 +412,7 @@ def test_criterion_09_generated_instances_pass_class_checks():
             )
         else:  # at most two paths and five items per agent
             good += all(
-                classify.is_disjoint_paths(inst.graphs[a])
+                GraphClass.DISJOINT_PATHS in inst.graphs[a].classes
                 and len(inst.graphs[a].items) <= 5
                 and sum(
                     1

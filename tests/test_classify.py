@@ -1,4 +1,4 @@
-"""Graph class predicates, junction counting, solver routing."""
+"""Graph class labels, junction counting, solver routing."""
 
 import hashlib
 import itertools
@@ -7,19 +7,15 @@ import random
 
 import pytest
 
-from prefalloc import classify, exact, randgen
+from prefalloc import exact, randgen
 from prefalloc.classify import (
     DEFAULT_GAMMA_LIMIT,
     ROUTES,
     GraphClass,
-    all_graphs_are,
     dispatch,
-    graph_class,
-    graph_classes,
     instance_class,
     junction_count,
-    junction_summary,
-    junctions,
+    misfit_agent,
 )
 from prefalloc.core import ParseError, PreconditionError, PreferenceGraph
 
@@ -35,9 +31,14 @@ DIAMOND = graph("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
 TWO_STARS = graph("abcde", [("a", "b"), ("a", "c"), ("d", "e")])
 
 
+def most_specific(g):
+    """Most specific label of one graph: its one-agent instance's class."""
+    return instance_class(instance({"x": g}))
+
+
 class TestPredicates:
     def test_single_vertex_memberships(self):
-        cs = graph_classes(SINGLE)
+        cs = SINGLE.classes
         assert GraphClass.OUT_STAR in cs
         assert GraphClass.PATH in cs
         assert GraphClass.OUT_TREE in cs
@@ -47,17 +48,17 @@ class TestPredicates:
         assert GraphClass.DIRECTED_MATCHING not in cs
 
     def test_single_arc_is_everything(self):
-        assert graph_classes(ARC) == frozenset(GraphClass)
+        assert ARC.classes == frozenset(GraphClass)
 
     def test_chain_is_path_not_star(self):
-        cs = graph_classes(CHAIN3)
+        cs = CHAIN3.classes
         assert GraphClass.PATH in cs
         assert GraphClass.OUT_STAR not in cs
         assert GraphClass.DIRECTED_MATCHING not in cs
         assert GraphClass.UNION_OUT_STARS not in cs
 
     def test_star_is_tree_not_path(self):
-        cs = graph_classes(STAR3)
+        cs = STAR3.classes
         assert GraphClass.OUT_STAR in cs
         assert GraphClass.OUT_TREE in cs
         assert GraphClass.UNION_OUT_STARS in cs
@@ -65,30 +66,30 @@ class TestPredicates:
         assert GraphClass.DISJOINT_PATHS not in cs
 
     def test_two_arcs_form_a_matching(self):
-        cs = graph_classes(TWO_ARCS)
+        cs = TWO_ARCS.classes
         assert GraphClass.DIRECTED_MATCHING in cs
         assert GraphClass.DISJOINT_PATHS in cs
         assert GraphClass.PATH not in cs
         assert GraphClass.OUT_TREE not in cs
 
     def test_isolated_vertex_breaks_matching(self):
-        assert GraphClass.DIRECTED_MATCHING not in graph_classes(ISOLATED_PAIR)
-        assert GraphClass.DISJOINT_PATHS in graph_classes(ISOLATED_PAIR)
+        assert GraphClass.DIRECTED_MATCHING not in ISOLATED_PAIR.classes
+        assert GraphClass.DISJOINT_PATHS in ISOLATED_PAIR.classes
 
     def test_diamond_is_general_dag_only(self):
-        assert graph_class(DIAMOND) is GraphClass.GENERAL_DAG
+        assert most_specific(DIAMOND) is GraphClass.GENERAL_DAG
 
     def test_star_forest(self):
-        cs = graph_classes(TWO_STARS)
+        cs = TWO_STARS.classes
         assert GraphClass.UNION_OUT_STARS in cs
         assert GraphClass.OUT_STAR not in cs
         assert GraphClass.OUT_TREE not in cs
 
     def test_priority_picks_most_specific(self):
-        assert graph_class(SINGLE) is GraphClass.OUT_STAR
-        assert graph_class(CHAIN3) is GraphClass.PATH
-        assert graph_class(TWO_ARCS) is GraphClass.DIRECTED_MATCHING
-        assert graph_class(TWO_STARS) is GraphClass.UNION_OUT_STARS
+        assert most_specific(SINGLE) is GraphClass.OUT_STAR
+        assert most_specific(CHAIN3) is GraphClass.PATH
+        assert most_specific(TWO_ARCS) is GraphClass.DIRECTED_MATCHING
+        assert most_specific(TWO_STARS) is GraphClass.UNION_OUT_STARS
 
 
 class TestInstanceClass:
@@ -106,23 +107,24 @@ class TestInstanceClass:
 
     def test_all_graphs_are(self):
         inst = instance({"x": TWO_ARCS, "y": graph("ab", [("a", "b")])})
-        assert all_graphs_are(inst, GraphClass.DIRECTED_MATCHING)
-        assert not all_graphs_are(inst, GraphClass.PATH)
-        assert all_graphs_are(inst, GraphClass.GENERAL_DAG)
+        assert misfit_agent(inst, GraphClass.DIRECTED_MATCHING) is None
+        assert misfit_agent(inst, GraphClass.PATH) is not None
+        assert misfit_agent(inst, GraphClass.GENERAL_DAG) is None
 
 
 class TestJunctions:
     def test_fan_out_and_fan_in(self):
-        assert junctions(DIAMOND) == {"a", "d"}
-        assert junctions(CHAIN3) == frozenset()
-        assert junctions(STAR3) == {"a"}
+        assert DIAMOND.junctions == {"a", "d"}
+        assert CHAIN3.junctions == frozenset()
+        assert STAR3.junctions == {"a"}
 
     def test_count_is_per_agent_with_multiplicity(self):
         inst = instance({"x": DIAMOND, "y": DIAMOND})
         assert junction_count(inst) == 4
-        summary = junction_summary(inst)
-        assert summary.gamma == 4
-        assert summary.per_agent == {"x": {"a", "d"}, "y": {"a", "d"}}
+        assert {a: inst.graphs[a].junctions for a in inst.agents} == {
+            "x": {"a", "d"},
+            "y": {"a", "d"},
+        }
 
 
 class TestDispatch:
@@ -181,7 +183,7 @@ class TestDispatch:
 
 # -- labels against their definitions ------------------------------------
 #
-# Reference predicates written from the classify docstrings: arcs are
+# Reference predicates written from the `GraphClass` member docstrings: arcs are
 # read straight from the arc set and reachability from `successors`, so
 # none of them shares a degree shortcut with `PreferenceGraph.classes`.
 
@@ -281,14 +283,7 @@ def _randgen_graphs():
 def _assert_labels_match(g):
     want = _ref_classes(g)
     assert g.classes == want, (sorted(g.items), sorted(g.arcs))
-    assert graph_classes(g) == want
-    assert classify.is_out_star(g) == (GraphClass.OUT_STAR in want)
-    assert classify.is_out_tree(g) == (GraphClass.OUT_TREE in want)
-    assert classify.is_path(g) == (GraphClass.PATH in want)
-    assert classify.is_disjoint_paths(g) == (GraphClass.DISJOINT_PATHS in want)
-    assert classify.is_directed_matching(g) == (GraphClass.DIRECTED_MATCHING in want)
-    assert classify.is_union_out_stars(g) == (GraphClass.UNION_OUT_STARS in want)
-    assert g.junctions == junctions(g) == _ref_junctions(g)
+    assert g.junctions == _ref_junctions(g)
 
 
 def test_labels_match_definitions_on_all_small_dags():
@@ -310,7 +305,7 @@ EMPTY = graph("")
 
 
 def test_empty_graph_is_a_vacuous_matching_only():
-    assert graph_classes(EMPTY) == {GraphClass.DIRECTED_MATCHING, GraphClass.GENERAL_DAG}
+    assert EMPTY.classes == {GraphClass.DIRECTED_MATCHING, GraphClass.GENERAL_DAG}
 
 
 @pytest.mark.parametrize(

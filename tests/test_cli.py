@@ -1,7 +1,9 @@
 """Command line behavior: reports, exit codes, determinism."""
 
+import importlib
 import json
 import random
+import re
 import runpy
 from pathlib import Path
 
@@ -267,6 +269,84 @@ class TestClassify:
         assert set(report["agents"]) == {"1", "2", "3"}
 
 
+# A diamond (junctions a and d, general DAG only), an out-star (junction
+# a) and a single arc: gamma 3, the sum objective on the junction route.
+# The instance with no agents reports general-dag, yet dispatch sends it
+# to the first route of each objective, since every agent fits vacuously.
+CLASSIFY_GOLDEN = {
+    "junctions": (
+        serialize_instance(instance({
+            "1": graph("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]),
+            "2": graph("abc", [("a", "b"), ("a", "c")]),
+            "3": graph("cd", [("c", "d")]),
+        })),
+        """{
+  "agents": {
+    "1": [
+      "general-dag"
+    ],
+    "2": [
+      "general-dag",
+      "out-star",
+      "out-tree",
+      "union-of-out-stars"
+    ],
+    "3": [
+      "directed-matching",
+      "disjoint-paths",
+      "general-dag",
+      "out-star",
+      "out-tree",
+      "path",
+      "union-of-out-stars"
+    ]
+  },
+  "gamma": 3,
+  "instance_class": "general-dag",
+  "junctions": {
+    "1": [
+      "a",
+      "d"
+    ],
+    "2": [
+      "a"
+    ],
+    "3": []
+  },
+  "recommended": {
+    "max": "oracle",
+    "sum": "minsum-junctions"
+  }
+}
+""",
+    ),
+    "empty": (
+        '{"items": [], "agents": []}',
+        """{
+  "agents": {},
+  "gamma": 0,
+  "instance_class": "general-dag",
+  "junctions": {},
+  "recommended": {
+    "max": "minmax-paths",
+    "sum": "minsum-matchings"
+  }
+}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY_GOLDEN))
+def test_golden_classify_output(name, tmp_path, capsys):
+    text, want = CLASSIFY_GOLDEN[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(text)
+    code, out, _ = run(capsys, "classify", str(path))
+    assert code == 0
+    assert out == want
+
+
 # One source per source type.  The cover has q = 2 and p = 6, enough sets
 # for x3c-matchings; the formula has three distinct variables per clause
 # and two clauses, as sat-paths needs.
@@ -490,3 +570,41 @@ def test_route_table_matches_benchmark_service():
     routes = {route.name: route.solver for route in classify.ROUTES}
     routes["oracle"] = ("exact", "minimize")
     assert routes == service["SOLVERS"]
+
+
+# Library names the benchmark's own call sites spell out (perfbench's
+# `lib.<module>.<name>`), at least the ones its service and workloads need.
+BENCHMARK_CALLS = {
+    ("classify", "dispatch"),
+    ("classify", "junction_count"),
+    ("core", "parse_instance"),
+    ("core", "profile"),
+    ("core", "serialize_instance"),
+    ("exact", "search_space"),
+    ("randgen", "junction_bounded_instance"),
+    ("randgen", "random_instance"),
+    ("reductions", "gen_two_agents_sat"),
+    ("reductions", "parse_dimacs"),
+    ("reductions", "witness_extract"),
+}
+
+
+def test_benchmark_names_exist_in_the_library(monkeypatch):
+    """Every name the benchmark wraps or calls is still on its module."""
+    bench = Path(__file__).parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    tracing = importlib.import_module("tracing")
+    called = {
+        (m.group(1), m.group(2))
+        for path in bench.glob("*.py")
+        for m in re.finditer(r"\blib\.(\w+)\.(\w+)", path.read_text())
+    }
+    assert BENCHMARK_CALLS <= called
+    names = called | {(mod, attr) for mod, attr, _, _ in tracing.WRAPS}
+    names |= set(tracing.service.SOLVERS.values())
+    missing = sorted(
+        (mod, attr)
+        for mod, attr in names
+        if not hasattr(importlib.import_module(f"prefalloc.{mod}"), attr)
+    )
+    assert missing == []

@@ -197,6 +197,13 @@ class TestSerialization:
             alloc = parse_allocation(text, worked, lenient=True)
         assert alloc.get("2") == {"b"}
 
+    @pytest.mark.parametrize(
+        "text", ['{"allocation": {}}', '{"allocation": {"2": ["b"]}}']
+    )
+    def test_lenient_parse_requires_an_instance(self, text):
+        with pytest.raises(PreconditionError, match="requires an instance"):
+            parse_allocation(text, lenient=True)
+
 
 PARSE_BASE = {
     "items": ["a", "b", "c"],

@@ -210,7 +210,7 @@ class TestOutStars:
         assert inst.num_items == 10
         assert inst.num_agents == 8
         assert all(
-            classify.is_out_star(inst.graphs[a]) for a in inst.agents
+            GraphClass.OUT_STAR in inst.graphs[a].classes for a in inst.agents
         )
 
     def test_witness_meets_bound_and_extracts(self):
@@ -239,7 +239,7 @@ class TestOutTrees:
         assert inst.num_agents == 62
         for a in inst.agents:
             g = inst.graphs[a]
-            assert classify.is_out_tree(g)
+            assert GraphClass.OUT_TREE in g.classes
             assert g.items == frozenset(inst.items)  # spanning
 
     def test_witness_meets_bound_and_extracts(self):
@@ -309,7 +309,7 @@ class TestMatchings:
         assert inst.num_items == 48
         assert inst.num_agents == 22
         assert all(
-            classify.is_directed_matching(inst.graphs[a]) for a in inst.agents
+            GraphClass.DIRECTED_MATCHING in inst.graphs[a].classes for a in inst.agents
         )
 
     def test_requires_six_sets(self):
@@ -332,7 +332,7 @@ class TestTwoPaths:
         assert inst.num_agents == 11
         for a in inst.agents:
             g = inst.graphs[a]
-            assert classify.is_disjoint_paths(g)
+            assert GraphClass.DISJOINT_PATHS in g.classes
             assert len(g.items) <= 5
             assert sum(1 for v in g.items if g.in_degree(v) == 0) <= 2
 
@@ -394,12 +394,12 @@ def test_extract_refuses_invalid_and_unmet_allocations(kind, source, cert, messa
 
 def test_all_generated_graphs_pass_their_class_check():
     checks = [
-        (gen_minmax_outstars(COVER_Q1)[0], classify.is_out_star),
-        (gen_minsum_outtrees(COVER_Q1)[0], classify.is_out_tree),
-        (gen_minmax_matchings(COVER_Q2)[0], classify.is_directed_matching),
-        (gen_minmax_two_paths_sat(DISTINCT_SAT)[0], classify.is_disjoint_paths),
+        (gen_minmax_outstars(COVER_Q1)[0], GraphClass.OUT_STAR),
+        (gen_minsum_outtrees(COVER_Q1)[0], GraphClass.OUT_TREE),
+        (gen_minmax_matchings(COVER_Q2)[0], GraphClass.DIRECTED_MATCHING),
+        (gen_minmax_two_paths_sat(DISTINCT_SAT)[0], GraphClass.DISJOINT_PATHS),
     ]
-    for inst, pred in checks:
-        assert all(pred(inst.graphs[a]) for a in inst.agents)
+    for inst, label in checks:
+        assert all(label in inst.graphs[a].classes for a in inst.agents)
     inst, _, _ = gen_two_agents_sat(SAT)
     assert classify.instance_class(inst) is GraphClass.GENERAL_DAG
