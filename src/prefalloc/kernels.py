@@ -2,10 +2,10 @@
 
 Everything here is exact integer arithmetic: max-profit flow with arc
 lower bounds over DAG networks (successive shortest source->sink paths,
-no artificial excess), linear sum assignment and max-weight bipartite
-matching as thin adapters onto it, bottleneck assignment, cardinality
-matching, max-flow / min-cut, and max-weight independent set in
-bipartite graphs.  No floating point anywhere.
+no artificial excess), linear sum assignment, max-weight bipartite
+matching and max-weight independent set in bipartite graphs as thin
+adapters onto it, bottleneck assignment, and cardinality matching.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -132,6 +132,8 @@ def lbap(cost: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
     if n == 0:
         return 0, []
     m = len(cost[0])
+    if any(len(row) != m for row in cost):
+        raise PreconditionError("ragged cost matrix")
     if n > m:
         raise PreconditionError("more rows than columns")
     values = sorted({c for row in cost for c in row})
@@ -185,92 +187,6 @@ def max_weight_matching(
     return total, {a: b for (a, b), f in zip(weights, flows) if f}
 
 
-# -- max flow / min cut ------------------------------------------------------
-
-
-class Dinic:
-    """Max-flow on integer capacities; exposes per-arc flow and the min cut."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        # edges[e] = [to, residual_capacity]; edge e and e^1 are twins
-        self.edges: list[list[int]] = []
-        self.caps: list[int] = []
-
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        if cap < 0:
-            raise PreconditionError("negative capacity")
-        eid = len(self.edges)
-        self.edges.append([v, cap])
-        self.adj[u].append(eid)
-        self.edges.append([u, 0])
-        self.adj[v].append(eid + 1)
-        self.caps.append(cap)
-        self.caps.append(0)
-        return eid
-
-    def flow_on(self, eid: int) -> int:
-        return self.caps[eid] - self.edges[eid][1]
-
-    def max_flow(self, s: int, t: int) -> int:
-        total = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for eid in self.adj[u]:
-                    v, residual = self.edges[eid]
-                    if residual > 0 and level[v] == -1:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] == -1:
-                return total
-            # Blocking flow along current arcs of the level graph, with an
-            # explicit path of edge ids instead of recursion.
-            it = [0] * self.n
-            path: list[int] = []
-            u = s
-            while True:
-                if u == t:
-                    pushed = min(self.edges[eid][1] for eid in path)
-                    for eid in path:
-                        self.edges[eid][1] -= pushed
-                        self.edges[eid ^ 1][1] += pushed
-                    total += pushed
-                    path.clear()
-                    u = s
-                    continue
-                adj = self.adj[u]
-                while it[u] < len(adj):
-                    eid = adj[it[u]]
-                    v, residual = self.edges[eid]
-                    if residual > 0 and level[v] == level[u] + 1:
-                        path.append(eid)
-                        u = v
-                        break
-                    it[u] += 1
-                else:  # dead end: retreat one arc, or stop when s is stuck
-                    if not path:
-                        break
-                    u = self.edges[path.pop() ^ 1][0]
-                    it[u] += 1
-
-    def residual_reachable(self, s: int) -> set[int]:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for eid in self.adj[u]:
-                v, residual = self.edges[eid]
-                if residual > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
-
-
 # -- max-weight independent set in a bipartite graph -------------------------
 
 
@@ -281,39 +197,43 @@ def bipartite_mwis(
 ) -> tuple[int, set[Hashable]]:
     """Heaviest set of vertices spanning no edge, sides A and B disjoint.
 
-    Weights must be nonnegative.  Standard cut construction: the chosen
-    set is the complement of a minimum vertex cover.  Zero-weight vertices
-    may be left out; that never changes the weight.
+    Weights must be nonnegative.  The chosen set is the complement of a
+    minimum vertex cover, found as a min cut by `max_profit_flow`:
+    s -> A at capacity w, A -> B unbounded, B -> t at capacity w and
+    profit 1, so the profit is the max-flow value.  The cover is read off
+    the residual graph: the A vertices s does not reach and the B vertices
+    it does.  Every maximum flow leaves the same vertices reachable, so
+    the set does not depend on the flow found.  Zero-weight vertices may
+    be left out; that never changes the weight.
     """
     if any(w < 0 for w in a_weights.values()) or any(
         w < 0 for w in b_weights.values()
     ):
         raise PreconditionError("negative vertex weights")
-    a_list = sorted(a_weights)
-    b_list = sorted(b_weights)
-    if set(a_list) & set(b_list):
+    if a_weights.keys() & b_weights.keys():
         raise PreconditionError("sides are not disjoint")
-    idx: dict[Hashable, int] = {}
-    for x in a_list:
-        idx[x] = len(idx) + 2
-    for x in b_list:
-        idx[x] = len(idx) + 2
-    net = Dinic(2 + len(idx))
-    s, t = 0, 1
-    inf = sum(a_weights.values()) + sum(b_weights.values()) + 1
-    for x in a_list:
-        net.add_edge(s, idx[x], a_weights[x])
-    for x in b_list:
-        net.add_edge(idx[x], t, b_weights[x])
-    edge_list = sorted(edges)
-    for a, b in edge_list:
+    arcs = [("s", ("a", x), 0, w, 0) for x, w in a_weights.items()]
+    arcs += [(("b", y), "t", 0, w, 1) for y, w in b_weights.items()]
+    for a, b in edges:
         if a not in a_weights or b not in b_weights:
             raise PreconditionError(f"edge ({a!r}, {b!r}) off the vertex sets")
-        net.add_edge(idx[a], idx[b], inf)
-    cut = net.max_flow(s, t)
-    reach = net.residual_reachable(s)
-    chosen = {x for x in a_list if idx[x] in reach}
-    chosen |= {x for x in b_list if idx[x] not in reach}
+        arcs.append((("a", a), ("b", b), 0, None, 0))
+    _, cut, flows = max_profit_flow(arcs, "s", "t")
+    residual: dict[Hashable, list[Hashable]] = {}
+    for (u, v, _, cap, _), f in zip(arcs, flows):
+        if cap is None or f < cap:
+            residual.setdefault(u, []).append(v)
+        if f:
+            residual.setdefault(v, []).append(u)
+    reach = {"s"}
+    todo = ["s"]
+    while todo:
+        for v in residual.get(todo.pop(), ()):
+            if v not in reach:
+                reach.add(v)
+                todo.append(v)
+    chosen = {x for x in a_weights if ("a", x) in reach}
+    chosen |= {y for y in b_weights if ("b", y) not in reach}
     total = sum(a_weights.values()) + sum(b_weights.values()) - cut
     return total, chosen
 

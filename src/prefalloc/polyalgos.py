@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .classify import GraphClass, misfit_agent
-from .core import Allocation, Instance, PreconditionError, profile
+from .core import Allocation, Instance, PreconditionError
+from .core import profile  # noqa: F401  perfbench/tracing.py wraps it by name
 from .kernels import bipartite_mwis, hopcroft_karp, max_profit_flow
 from .kernels import lbap, lsap, max_weight_matching  # noqa: F401  perfbench/tracing.py wraps them by name
 
@@ -242,7 +243,8 @@ def minsum_two_star_forests(inst: Instance) -> SolveResult:
     not already covered for i; the only interactions are "don't pay a
     leaf twice along with its own root" and "one agent per item", and
     that conflict graph is bipartite, so a max-weight independent set
-    finishes the job.
+    finishes the job.  The value is what the preassignment leaves
+    uncovered, less that set's weight.
     """
     pre = preassign_two_star_forests(inst)  # checks the shape and agent count
     a1, a2 = inst.agents
@@ -281,12 +283,12 @@ def minsum_two_star_forests(inst: Instance) -> SolveResult:
                 if u in rem:
                     pair = ((r, a), (u, a)) if a == a1 else ((u, a), (r, a))
                     edges.append(pair)
-    _, chosen = bipartite_mwis(side_a, side_b, edges)
+    gain, chosen = bipartite_mwis(side_a, side_b, edges)
     bundles = {a: set(pre.get(a)) for a in (a1, a2)}
     for v, a in chosen:
         bundles[a].add(v)
-    alloc = Allocation.of(bundles)
-    return SolveResult(profile(inst, alloc).total, alloc)
+    left = sum(len(g[a].items) - len(dom0[a]) for a in (a1, a2))
+    return SolveResult(left - gain, Allocation.of(bundles))
 
 
 # -- two agents with directed matchings: min worst dissatisfaction ------------

@@ -64,6 +64,30 @@ def brute_profiles(inst: Instance) -> set:
     return out
 
 
+def max_flow_arcs(edges, sink):
+    """Arcs (u, v, cap) as `max_profit_flow` arcs whose profit is the flow
+    value: profit 1 on each arc into the sink, which must have no arc out."""
+    return [(u, v, 0, c, int(v == sink)) for u, v, c in edges]
+
+
+def residual_reach(arcs, flows, source):
+    """Nodes reachable from `source` in the residual graph of `flows`."""
+    step = {}
+    for (u, v, _, cap, _), f in zip(arcs, flows):
+        if cap is None or f < cap:
+            step.setdefault(u, []).append(v)
+        if f:
+            step.setdefault(v, []).append(u)
+    seen = {source}
+    todo = [source]
+    while todo:
+        for v in step.get(todo.pop(), ()):
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
 @pytest.fixture
 def worked() -> Instance:
     """Three agents over {a, b, c}: one wants everything, two want one item."""

@@ -1,13 +1,14 @@
 """Combinatorial kernels checked against brute force on small inputs."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
 from prefalloc.core import PreconditionError
 from prefalloc.kernels import (
-    Dinic,
     bipartite_mwis,
     hopcroft_karp,
     lbap,
@@ -15,6 +16,8 @@ from prefalloc.kernels import (
     max_profit_flow,
     max_weight_matching,
 )
+
+from conftest import max_flow_arcs, residual_reach
 
 
 def brute_assignment(cost, aggregate):
@@ -173,6 +176,11 @@ class TestLbap:
         assert bottleneck == max(cost[i][c] for i, c in enumerate(cols))
         assert bottleneck == brute_assignment(cost, max)
 
+    @pytest.mark.parametrize("cost", [[[1, 2], [3]], [[5], [1, 0]]])
+    def test_rejects_ragged_matrix(self, cost):
+        with pytest.raises(PreconditionError, match="ragged cost matrix"):
+            lbap(cost)
+
 
 class TestHopcroftKarp:
     def test_known_graph(self):
@@ -263,31 +271,28 @@ def brute_min_cut(n, edges, s, t):
     return best
 
 
-class TestDinic:
+class TestMaxFlowMinCut:
+    """Max-flow as `max_profit_flow` with profit 1 into the sink, and the
+    min cut read back from the residual graph of the flows it returns."""
+
     def test_two_disjoint_unit_paths(self):
-        net = Dinic(4)
-        net.add_edge(0, 1, 1)
-        net.add_edge(1, 3, 1)
-        net.add_edge(0, 2, 1)
-        net.add_edge(2, 3, 1)
-        assert net.max_flow(0, 3) == 2
+        arcs = max_flow_arcs([(0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 1)], 3)
+        assert max_profit_flow(arcs, 0, 3)[1] == 2
 
     def test_flow_on_and_reachability(self):
-        net = Dinic(3)
-        a = net.add_edge(0, 1, 2)
-        b = net.add_edge(1, 2, 1)
-        assert net.max_flow(0, 2) == 1
-        assert net.flow_on(a) == 1
-        assert net.flow_on(b) == 1
+        arcs = max_flow_arcs([(0, 1, 2), (1, 2, 1)], 2)
+        _, flow, flows = max_profit_flow(arcs, 0, 2)
+        assert flow == 1
+        assert flows == [1, 1]
         # the bottleneck arc (1, 2) is saturated, so 1 stays reachable but 2 not
-        assert net.residual_reachable(0) == {0, 1}
+        assert residual_reach(arcs, flows, 0) == {0, 1}
 
     def test_long_augmenting_path_does_not_recurse(self):
         n = 3000
-        net = Dinic(n)
-        arcs = [net.add_edge(i, i + 1, 1) for i in range(n - 1)]
-        assert net.max_flow(0, n - 1) == 1
-        assert all(net.flow_on(e) == 1 for e in arcs)
+        arcs = max_flow_arcs([(i, i + 1, 1) for i in range(n - 1)], n - 1)
+        _, flow, flows = max_profit_flow(arcs, 0, n - 1)
+        assert flow == 1
+        assert flows == [1] * (n - 1)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_max_flow_equals_min_cut(self, seed):
@@ -295,16 +300,16 @@ class TestDinic:
         n = rng.randint(2, 6)
         edges = []
         for u in range(n):
-            for v in range(n):
-                if u != v and rng.random() < 0.4:
+            for v in range(u + 1, n):
+                if rng.random() < 0.4:
                     edges.append((u, v, rng.randint(0, 5)))
-        net = Dinic(n)
-        for u, v, c in edges:
-            net.add_edge(u, v, c)
-        flow = net.max_flow(0, n - 1)
+        arcs = max_flow_arcs(edges, n - 1)
+        feasible, flow, flows = max_profit_flow(arcs, 0, n - 1)
+        assert feasible
+        assert flow == sum(f for f, (_, v, _) in zip(flows, edges) if v == n - 1)
         assert flow == brute_min_cut(n, edges, 0, n - 1)
         # min-cut read back from the residual: no residual arc may cross it
-        reach = net.residual_reachable(0)
+        reach = residual_reach(arcs, flows, 0)
         assert 0 in reach and (n - 1) not in reach
         assert flow == sum(c for u, v, c in edges if u in reach and v not in reach)
 
@@ -355,6 +360,31 @@ class TestBipartiteMwis:
         total = sum(a.values()) + sum(b.values())
         cover_weight = sum(a.get(v, 0) + b.get(v, 0) for v in cover)
         assert weight + cover_weight == total
+
+    def test_chosen_sets_are_pinned(self):
+        got = []
+        for seed in range(300):
+            weight, chosen = bipartite_mwis(*_mwis_draw(seed))
+            got.append([weight, sorted(chosen)])
+        digest = hashlib.sha256(json.dumps(got).encode()).hexdigest()
+        assert digest == PINNED_MWIS_DIGEST
+
+
+def _mwis_draw(seed):
+    """Up to 7 vertices a side, zero weights and duplicate edges included."""
+    rng = random.Random(f"mwis/{seed}")
+    a = {f"a{i}": rng.randint(0, 6) for i in range(rng.randint(0, 7))}
+    b = {f"b{i}": rng.randint(0, 6) for i in range(rng.randint(0, 7))}
+    if not (a and b):
+        return a, b, []
+    edges = [(rng.choice(sorted(a)), rng.choice(sorted(b))) for _ in range(rng.randint(0, 14))]
+    return a, b, edges
+
+
+# sha256 of the (weight, sorted chosen set) list over _mwis_draw(0..299).
+# Every maximum flow leaves the same vertices reachable from the source,
+# so the chosen set must not move with the flow algorithm.
+PINNED_MWIS_DIGEST = "5413fa78a3fd4a87bb3114e38c6195c98b0baa7a009c01e822cf9d88bf11e50f"
 
 
 class TestMaxProfitFlow:
