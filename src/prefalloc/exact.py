@@ -12,7 +12,7 @@ first optimum in that depth-first order is returned, which pins the
 witness down deterministically (the lexicographically least option
 vector among optimal allocations).
 
-`minimize` is a branch and bound over that scan.  Three rules cut it
+`minimize` is a branch and bound over that scan.  Four rules cut it
 down without moving the witness:
 
 * Suffix-union bound.  From item j on, agent a can at best gain every
@@ -34,21 +34,35 @@ down without moving the witness:
   completion from the node scores below the incumbent, which is all the
   argument for ">=" above uses.
   C is computed once per instance, beside the suffix unions.
+* Dynamic joint gain bound.  G(j), the sum over items j..n-1 of the
+  largest marginal gain |reach & ~mask| that any desiring agent would get
+  from the item under the node's masks, also bounds the total gain of
+  every completion: an item goes to at most one agent, and its marginal
+  gain only shrinks as that agent's mask grows further down.  G makes the
+  same two cuts as C, in its place, and is never larger.  It costs a pass
+  over the remaining items, so it is tried only when the two bounds above
+  do not cut, and the pass stops once G is too large to cut.  It too cuts
+  only when no completion from the node scores below the incumbent, so
+  the first optimum keeps its path.
 * Zero-gain skip.  Giving item j to an agent that already reaches all of
   it leaves the search state exactly as in the "nobody" branch, which is
   searched first.  Every leaf of the skipped branch has an equal-valued
-  twin earlier in scan order, which was either visited or cut by the
+  twin earlier in scan order, which was either visited or cut by a
   bound; either way the incumbent is already no worse, and only a
   strictly lower value replaces it.  So no skipped leaf is the first
   optimum or could have been returned.
   `all_profiles` uses the same skip: the twin leaves give the same
-  profiles.  It uses neither bound, because it enumerates every
+  profiles.  It uses none of the bounds, because it enumerates every
   profile, not an optimum.
+
+The search recurses once per item, so `_guard` also refuses instances
+with more items than half the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 
 from .core import Allocation, Instance, ParseError, SizeGuardError
@@ -95,6 +109,14 @@ def _guard(inst: Instance, limit: int | None) -> None:
         raise SizeGuardError(
             f"search space {space} exceeds limit {cap}; "
             f"raise it explicitly or via {_LIMIT_ENV}"
+        )
+    # The search recurses once per item; leave half the interpreter's
+    # recursion limit to the caller's frames.
+    depth = sys.getrecursionlimit() // 2
+    if len(inst.items) > depth:
+        raise SizeGuardError(
+            f"{len(inst.items)} items exceed the search depth {depth}, "
+            "half the interpreter's recursion limit"
         )
 
 
@@ -162,25 +184,46 @@ def minimize(
     best_assign: list[int | None] | None = None
     leaves = 0
 
+    def gain_at_most(j: int, allowance: int) -> bool:
+        # True when G(j), the sum over items j..n-1 of the largest marginal
+        # gain any desiring agent gets from the item under the current
+        # masks, is at most allowance.  Stops as soon as the sum passes it.
+        total = 0
+        for i in range(j, n):
+            best = 0
+            for ai, r in reach[i].items():
+                gain = (r & ~masks[ai]).bit_count()
+                if gain > best:
+                    best = gain
+            total += best
+            if total > allowance:
+                return False
+        return True
+
     def pruned(j: int) -> bool:
         # True when no completion from this node can beat the incumbent.
         # Agent ai ends with at least sizes[ai] - |masks[ai] | suffix[ai][j]|
         # dissatisfaction (dissat[ai] is sizes[ai] - |masks[ai]|), and all
-        # agents together gain at most cap[j].
+        # agents together gain at most cap[j], and at most G(j).
         if objective == "sum":
-            if sum(dissat) - cap[j] >= best_value:
+            total = sum(dissat)
+            if total - cap[j] >= best_value:
                 return True
             low = 0
             for ai in range(k):
                 low += sizes[ai] - (masks[ai] | suffix[ai][j]).bit_count()
-            return low >= best_value
+            if low >= best_value:
+                return True
+            return gain_at_most(j, total - best_value)
         need = 0
         for ai in range(k):
             if sizes[ai] - (masks[ai] | suffix[ai][j]).bit_count() >= best_value:
                 return True
             if dissat[ai] >= best_value:
                 need += dissat[ai] - best_value + 1
-        return need > cap[j]
+        if need == 0:
+            return False
+        return need > cap[j] or gain_at_most(j, need - 1)
 
     def dfs(j: int) -> None:
         nonlocal best_value, best_assign, leaves

@@ -47,7 +47,8 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .core import Allocation, Instance, SizeGuardError, profile
+from .core import Allocation, Instance, SizeGuardError
+from .core import profile  # noqa: F401  perfbench/tracing.py wraps it by name
 from .kernels import max_profit_flow
 from .polyalgos import Chain, SolveResult, _chain_network, _chains
 
@@ -92,11 +93,7 @@ def minsum_few_junctions(
         if result is not None and result[0] > best_sat:
             best_sat, best = result
     assert best is not None  # the all-4 guess is always feasible
-    witness = _minimalize(inst, best)
-    value = total_items - best_sat
-    got = profile(inst, witness)
-    assert got.total == value, "claimed optimum does not match its witness"
-    return SolveResult(value, witness)
+    return SolveResult(total_items - best_sat, _minimalize(inst, best))
 
 
 def _agent_cases(g) -> list[_Case]:

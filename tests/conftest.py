@@ -44,6 +44,13 @@ def scan_first_optimum(inst: Instance, objective: str) -> tuple[int, Allocation]
     return best
 
 
+def chain_instance(n: int) -> Instance:
+    """One agent whose n items form a chain; each item is preferred over
+    the item before it, so the last item in sorted order reaches every item."""
+    names = [f"i{k:05d}" for k in range(n)]
+    return instance({"x": graph(names, zip(names[1:], names))})
+
+
 def brute_minimum(inst: Instance, objective: str) -> int:
     """Plain exhaustive minimum, by the ordered scan above."""
     return scan_first_optimum(inst, objective)[0]

@@ -9,12 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from prefalloc import classify, randgen, reductions
+from prefalloc import classify, exact, randgen, reductions
 from prefalloc.cli import main
 from prefalloc.core import serialize_instance
 from prefalloc.reductions import Cnf3Formula, X3CInstance
 
-from conftest import graph, instance
+from conftest import chain_instance, graph, instance
 
 WORKED = serialize_instance(
     instance({"1": graph("abc"), "2": graph("b"), "3": graph("c")})
@@ -147,6 +147,21 @@ class TestSolve:
         assert code == 2
         assert out == ""
         assert "PREFALLOC_ORACLE_LIMIT" in err and "'abc'" in err
+
+    def test_refuses_items_past_the_search_depth(self, tmp_path, capsys, monkeypatch):
+        def no_search(inst):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(exact, "_prepare", no_search)
+        monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", str(10**400))
+        path = tmp_path / "chain.json"
+        path.write_text(serialize_instance(chain_instance(1100)))
+        code, out, err = run(
+            capsys, "solve", str(path), "--objective", "sum", "--algorithm", "oracle"
+        )
+        assert code == 4
+        assert out == ""
+        assert "1100 items exceed the search depth" in err
 
     def test_oracle_limit_negative(self, worked_path, capsys, monkeypatch):
         monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", "-5")

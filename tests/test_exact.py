@@ -1,6 +1,10 @@
 """Exhaustive oracle: optimality, determinism, profile sets, size guard."""
 
+import importlib
 import random
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,13 +12,21 @@ from prefalloc.core import (
     Instance,
     ParseError,
     SizeGuardError,
+    parse_instance,
     profile,
     validate_allocation,
 )
 from prefalloc.exact import all_profiles, decide, minimize, search_space
-from prefalloc import randgen, reductions
+from prefalloc import exact, randgen, reductions
 
-from conftest import brute_minimum, brute_profiles, graph, instance, scan_first_optimum
+from conftest import (
+    brute_minimum,
+    brute_profiles,
+    chain_instance,
+    graph,
+    instance,
+    scan_first_optimum,
+)
 
 
 def test_worked_example_minimums(worked):
@@ -142,16 +154,36 @@ def test_gadget_leaf_count_regression():
     # A satisfiable 3-variable, 3-clause gadget: 3^12 = 531441 leaves
     # unpruned.  Summing reach sizes as the bound visited 12816 of them
     # under max; the suffix-union bound with the zero-gain skip visited 447
-    # under max and 1266 under sum, and the joint gain cap brings them to
-    # 231 and 648.
+    # under max and 1266 under sum, the joint gain cap brought them to
+    # 231 and 648, and the dynamic joint gain bound to 51 and 48.
     formula = reductions.Cnf3Formula(3, ((1, 2, 3), (-1, -2, 3), (1, -2, -3)))
     inst, sum_threshold, threshold = reductions.gen_two_agents_sat(formula)
     res = minimize(inst, "max")
     assert res.value == threshold
-    assert res.leaves <= 231
+    assert res.leaves <= 51
     res = minimize(inst, "sum")
     assert res.value == sum_threshold
-    assert res.leaves <= 648
+    assert res.leaves <= 48
+
+
+def test_benchmark_oracle_prefix_leaf_count(monkeypatch):
+    """Leaves summed over the first 120 requests of the seed-1 oracle-gadgets
+    corpus, the requests the benchmark's traced pass serves.  They were
+    20490 under the suffix-union bound, 9438 with the joint gain cap and
+    3444 with the dynamic joint gain bound."""
+    bench = Path(__file__).parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    service = importlib.import_module("service")
+    workloads = importlib.import_module("workloads")
+    lib = SimpleNamespace(
+        **{m: importlib.import_module(f"prefalloc.{m}") for m in service.MODULES}
+    )
+    corpus, _ = workloads.build(lib, "oracle-gadgets", 1)
+    leaves = sum(
+        minimize(parse_instance(req.instance), req.objective).leaves
+        for req in corpus[:120]
+    )
+    assert leaves == 3444
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -212,6 +244,26 @@ class TestSizeGuard:
     def test_all_profiles_guarded_too(self, worked):
         with pytest.raises(SizeGuardError):
             all_profiles(worked, limit=3)
+
+    def test_refuses_items_past_the_search_depth(self, monkeypatch):
+        # The search recurses once per item, so 1100 items would end in
+        # RecursionError; the guard refuses before any search runs.
+        def no_search(inst):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(exact, "_prepare", no_search)
+        inst = chain_instance(1100)
+        message = f"1100 items exceed the search depth {sys.getrecursionlimit() // 2}"
+        with pytest.raises(SizeGuardError, match=message):
+            minimize(inst, "sum", limit=10**400)
+        with pytest.raises(SizeGuardError, match=message):
+            all_profiles(inst, limit=10**400)
+
+    def test_search_depth_limit_is_reachable(self):
+        # As many items as the guard allows search without RecursionError.
+        inst = chain_instance(sys.getrecursionlimit() // 2)
+        for objective in ("sum", "max"):
+            assert minimize(inst, objective, limit=10**400).value == 0
 
 
 def test_unknown_objective_rejected(worked):
