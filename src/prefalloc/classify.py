@@ -130,8 +130,9 @@ def dispatch(
     Takes the first entry of `ROUTES` for the objective whose shape and
     agent count fit; in particular the max objective never routes path
     forests to the bottleneck-assignment solver (only single paths per
-    agent are safe).  Falls back to the exhaustive oracle when it fits
-    the size guard, else reports "oracle-too-large".
+    agent are safe).  Falls back to the exhaustive oracle when
+    `exact.fits` takes the instance, else reports "oracle-too-large"
+    with that check's reason.
     """
     from . import exact
 
@@ -147,10 +148,5 @@ def dispatch(
             return SolverChoice(
                 route.name, route.reason.format(gamma=gamma, gamma_limit=gamma_limit)
             )
-    space = exact.search_space(inst)
-    limit = exact._effective_limit(oracle_limit)
-    if space <= limit:
-        return SolverChoice("oracle", f"search space {space} within limit {limit}")
-    return SolverChoice(
-        "oracle-too-large", f"search space {space} exceeds limit {limit}"
-    )
+    ok, reason = exact.fits(inst, oracle_limit)
+    return SolverChoice("oracle" if ok else "oracle-too-large", reason)

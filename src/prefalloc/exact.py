@@ -55,8 +55,9 @@ down without moving the witness:
   profiles.  It uses none of the bounds, because it enumerates every
   profile, not an optimum.
 
-The search recurses once per item, so `_guard` also refuses instances
-with more items than half the interpreter's recursion limit.
+The search recurses once per item, so `fits`, the size check behind
+`_guard` and `classify.dispatch`, also refuses instances with more items
+than half the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -102,36 +103,41 @@ def _effective_limit(limit: int | None) -> int:
     return value
 
 
-def _guard(inst: Instance, limit: int | None) -> None:
-    space = search_space(inst)
-    cap = _effective_limit(limit)
+def fits(inst: Instance, limit: int | None = None) -> tuple[bool, str]:
+    """Whether the oracle searches inst, and why: the one size check that
+    `_guard` enforces and `classify.dispatch` reports."""
+    space, cap = search_space(inst), _effective_limit(limit)
     if space > cap:
-        raise SizeGuardError(
-            f"search space {space} exceeds limit {cap}; "
-            f"raise it explicitly or via {_LIMIT_ENV}"
-        )
+        return False, f"search space {space} exceeds limit {cap}"
     # The search recurses once per item; leave half the interpreter's
     # recursion limit to the caller's frames.
     depth = sys.getrecursionlimit() // 2
     if len(inst.items) > depth:
-        raise SizeGuardError(
+        return False, (
             f"{len(inst.items)} items exceed the search depth {depth}, "
             "half the interpreter's recursion limit"
         )
+    return True, f"search space {space} within limit {cap}"
+
+
+def _guard(inst: Instance, limit: int | None) -> None:
+    ok, reason = fits(inst, limit)
+    if not ok:
+        if reason.startswith("search space"):  # a larger limit would lift it
+            reason += f"; raise it explicitly or via {_LIMIT_ENV}"
+        raise SizeGuardError(reason)
 
 
 def _prepare(inst: Instance):
     items = inst.items
     agents = inst.agents
-    # Per item: desiring agent index -> reach mask, in agent order.
-    reach: list[dict[int, int]] = []
-    for v in items:
-        rs = {}
-        for ai, a in enumerate(agents):
-            g = inst.graphs[a]
-            if v in g.items:
-                rs[ai] = g.reach_mask(v)
-        reach.append(rs)
+    # Per item: desiring agent index -> reach mask, filled in agent order.
+    at = {v: j for j, v in enumerate(items)}
+    reach: list[dict[int, int]] = [{} for _ in items]
+    for ai, a in enumerate(agents):
+        g = inst.graphs[a]
+        for v, r in zip(g.sorted_items, g.reach):
+            reach[at[v]][ai] = r
     sizes = [len(inst.graphs[a].items) for a in agents]
     return items, agents, reach, sizes
 

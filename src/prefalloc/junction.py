@@ -99,23 +99,27 @@ def minsum_few_junctions(
 def _agent_cases(g) -> list[_Case]:
     """Consistent cases at the junctions of one agent's graph g, in guess order."""
     js = sorted(g.junctions)
-    chains = _chains(g, g.junctions)
-    succ = {v: g.successors(v) for v in js}
-    pred = {v: g.predecessors(v) for v in js}
+    chains = _chains(g)
+    # Masks over g's items: each junction's bit, strict successors and
+    # strict predecessors.
+    bit = {v: 1 << g.position[v] for v in js}
+    succ = {v: g.reach[g.position[v]] ^ bit[v] for v in js}
+    pred = {v: sum(1 << i for i, r in enumerate(g.reach) if r & bit[v]) ^ bit[v] for v in js}
     out = []
     for assignment in itertools.product((1, 2, 3, 4), repeat=len(js)):
         case = dict(zip(js, assignment))
         by_case = {c: {v for v in js if case[v] == c} for c in (1, 2, 3, 4)}
         taken, exposed, dead = by_case[1], by_case[3], by_case[4]
         covered = taken | by_case[2]
+        mask = {c: sum(bit[v] for v in vs) for c, vs in by_case.items()}
         # Anything below a covered junction is covered too, and a dead cone
         # admits no allocation above or below the junction.
-        if any(succ[u] & (exposed | dead) for u in covered):
+        if any(succ[u] & (mask[3] | mask[4]) for u in covered):
             continue
-        if any(succ[w] & (taken | exposed) for w in dead):
+        if any(succ[w] & (mask[1] | mask[3]) for w in dead):
             continue
-        auto3 = {v for v in exposed if succ[v] & (taken | exposed)}
-        auto2 = {v for v in by_case[2] if pred[v] & covered}
+        auto3 = {v for v in exposed if succ[v] & (mask[1] | mask[3])}
+        auto2 = {v for v in by_case[2] if pred[v] & (mask[1] | mask[2])}
         open_chains = [
             ch
             for ch in chains
@@ -143,7 +147,7 @@ def _agent_cases(g) -> list[_Case]:
         out.append(
             _Case(
                 sorted(taken),
-                len(g.dominated_set(covered)),
+                g.dominated_mask(covered).bit_count(),
                 open_chains,
                 need3,
                 need2,
@@ -278,7 +282,7 @@ def _minimalize(inst: Instance, bundles: dict[str, set[str]]) -> Allocation:
         kept = set(items)
         for v in sorted(items):
             rest = kept - {v}
-            if v in g.dominated_set(rest):
+            if g.dominated_mask(rest) >> g.position[v] & 1:
                 kept = rest
         out[a] = kept
     return Allocation.of(out)

@@ -72,29 +72,25 @@ class Chain(NamedTuple):
     end: str | None  # junction fed by the last item, None at a sink
 
 
-def _chains(g, juncs: frozenset[str] = frozenset()) -> list[Chain]:
+def _chains(g) -> list[Chain]:
     """Maximal paths of g through non-junction vertices only.
 
     Chains leaving a junction come first, by junction in sorted order,
-    then chains from sources in item order.  Without junctions g must be
-    a union of disjoint paths, and its chains are its components.
+    then chains from sources in item order.  A graph without junctions
+    is a union of disjoint paths, and its chains are its components.
     """
+    order, outs = g.sorted_items, g.outs
+    juncs = {g.position[v] for v in g.junctions}
 
-    # A walk only leaves non-junctions, which have one out-arc at most, so
-    # the arcs read as a map from tail to head serve every step.
-    succ = dict(g.arcs)
-    heads = {head for _, head in g.arcs}
+    def walk(first: int, start: str | None) -> Chain:
+        # A walk only leaves non-junctions, which have one out-arc at most.
+        path = [first]
+        while (heads := outs[path[-1]]) and heads[0] not in juncs:
+            path.append(heads[0])
+        return Chain(start, [order[i] for i in path], order[heads[0]] if heads else None)
 
-    def walk(first: str, start: str | None) -> Chain:
-        items = [first]
-        while (nxt := succ.get(items[-1])) is not None:
-            if nxt in juncs:
-                return Chain(start, items, nxt)
-            items.append(nxt)
-        return Chain(start, items, None)
-
-    chains = [walk(w, u) for u in sorted(juncs) for w in g.out_neighbors(u) if w not in juncs]
-    chains += [walk(v, None) for v in g.sorted_items if v not in heads and v not in juncs]
+    chains = [walk(w, order[u]) for u in sorted(juncs) for w in outs[u] if w not in juncs]
+    chains += [walk(i, None) for i, tails in enumerate(g.ins) if not tails and i not in juncs]
     return chains
 
 
@@ -220,14 +216,14 @@ def preassign_two_star_forests(inst: Instance) -> Allocation:
             assigned[v] = a2
     for agent, other in ((a1, a2), (a2, a1)):
         mine, theirs = g[agent], g[other]
-        for v in mine.sorted_items:
-            if v not in theirs.items:
-                continue
-            if mine.in_degree(v) == 0 and theirs.in_degree(v) == 1:
+        for i, v in enumerate(mine.sorted_items):
+            j = theirs.position.get(v)
+            if j is not None and not mine.ins[i] and len(theirs.ins[j]) == 1:
                 assigned.setdefault(v, agent)
-                for u in mine.out_neighbors(v):
-                    if u in theirs.items and u not in assigned:
-                        assigned[u] = other
+                for u in mine.outs[i]:
+                    leaf = mine.sorted_items[u]
+                    if leaf in theirs.items and leaf not in assigned:
+                        assigned[leaf] = other
     bundles: dict[str, set[str]] = {}
     for v, a in assigned.items():
         bundles.setdefault(a, set()).add(v)
@@ -249,13 +245,12 @@ def minsum_two_star_forests(inst: Instance) -> SolveResult:
     pre = preassign_two_star_forests(inst)  # checks the shape and agent count
     a1, a2 = inst.agents
     g = {a1: inst.graphs[a1], a2: inst.graphs[a2]}
-    dom0 = {a: g[a].dominated_set(pre.get(a) & g[a].items) for a in (a1, a2)}
+    dom0 = {a: g[a].dominated_mask(pre.get(a) & g[a].items) for a in (a1, a2)}
     taken = pre.assigned_items()
     remaining = [v for v in inst.items if v not in taken]
 
     def weight(v: str, a: str) -> int:
-        cone = {v} | g[a].successors(v)
-        return len(cone - dom0[a])
+        return (g[a].reach[g[a].position[v]] & ~dom0[a]).bit_count()
 
     side_a: dict[tuple, int] = {}
     side_b: dict[tuple, int] = {}
@@ -263,7 +258,7 @@ def minsum_two_star_forests(inst: Instance) -> SolveResult:
     for v in remaining:
         # Remaining items sit in both graphs, as roots of both or leaves
         # of both; that split is what makes the conflict graph two-sided.
-        if g[a1].in_degree(v) == 0:
+        if not g[a1].ins[g[a1].position[v]]:
             root_both.add(v)
             side_a[(v, a1)] = weight(v, a1)
             side_b[(v, a2)] = weight(v, a2)
@@ -279,7 +274,8 @@ def minsum_two_star_forests(inst: Instance) -> SolveResult:
     rem = set(remaining)
     for r in sorted(root_both):
         for a in (a1, a2):
-            for u in g[a].out_neighbors(r):
+            for i in g[a].outs[g[a].position[r]]:
+                u = g[a].sorted_items[i]
                 if u in rem:
                     pair = ((r, a), (u, a)) if a == a1 else ((u, a), (r, a))
                     edges.append(pair)
@@ -287,7 +283,7 @@ def minsum_two_star_forests(inst: Instance) -> SolveResult:
     bundles = {a: set(pre.get(a)) for a in (a1, a2)}
     for v, a in chosen:
         bundles[a].add(v)
-    left = sum(len(g[a].items) - len(dom0[a]) for a in (a1, a2))
+    left = sum(len(g[a].items) - dom0[a].bit_count() for a in (a1, a2))
     return SolveResult(left - gain, Allocation.of(bundles))
 
 
@@ -335,10 +331,12 @@ def _overlay_components(inst: Instance):
     """
     inc: dict[str, list[tuple]] = {v: [] for v in inst.items}
     for q, a in enumerate(inst.agents, start=1):
-        for tail, head in inst.graphs[a].arcs:
-            arc = (tail, head, q)
-            inc[tail].append(arc)
-            inc[head].append(arc)
+        order = inst.graphs[a].sorted_items
+        for t, hs in enumerate(inst.graphs[a].outs):
+            for h in hs:
+                arc = (order[t], order[h], q)
+                inc[order[t]].append(arc)
+                inc[order[h]].append(arc)
     seen: set[str] = set()
     comps = []
     for v0 in sorted(inst.items, key=lambda v: len(inc[v]) != 1):  # path ends first

@@ -51,6 +51,14 @@ def chain_instance(n: int) -> Instance:
     return instance({"x": graph(names, zip(names[1:], names))})
 
 
+def ladder_instance(n: int) -> Instance:
+    """One agent whose n items form a ladder, arcs i -> i+1 and i -> i+2: a
+    general DAG whose every inner item is a junction, so `dispatch` sends
+    it to the oracle under either objective."""
+    names = [f"i{k:05d}" for k in range(n)]
+    return instance({"x": graph(names, [*zip(names, names[1:]), *zip(names, names[2:])])})
+
+
 def brute_minimum(inst: Instance, objective: str) -> int:
     """Plain exhaustive minimum, by the ordered scan above."""
     return scan_first_optimum(inst, objective)[0]

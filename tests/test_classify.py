@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -12,6 +13,7 @@ from prefalloc.classify import (
     DEFAULT_GAMMA_LIMIT,
     ROUTES,
     GraphClass,
+    SolverChoice,
     dispatch,
     instance_class,
     junction_count,
@@ -19,7 +21,7 @@ from prefalloc.classify import (
 )
 from prefalloc.core import ParseError, PreconditionError, PreferenceGraph
 
-from conftest import brute_minimum, graph, instance
+from conftest import brute_minimum, graph, instance, ladder_instance
 
 SINGLE = graph("a")
 ARC = graph("ab", [("a", "b")])
@@ -171,6 +173,25 @@ class TestDispatch:
         inst = instance({"x": DIAMOND, "y": DIAMOND})
         choice = dispatch(inst, "max", oracle_limit=3)
         assert choice.name == "oracle-too-large"
+
+    @pytest.mark.parametrize("objective", ["sum", "max"])
+    def test_oracle_too_deep(self, objective):
+        # One item past half the recursion limit: the search space fits
+        # the limit, but the oracle would refuse the search depth.
+        n = sys.getrecursionlimit() // 2 + 1
+        inst = ladder_instance(n)
+        assert dispatch(inst, objective, oracle_limit=2**n) == SolverChoice(
+            "oracle-too-large",
+            f"{n} items exceed the search depth {n - 1}, "
+            "half the interpreter's recursion limit",
+        )
+        assert dispatch(inst, objective, oracle_limit=2**n - 1) == SolverChoice(
+            "oracle-too-large", f"search space {2**n} exceeds limit {2**n - 1}"
+        )
+        fits = ladder_instance(n - 1)
+        assert dispatch(fits, objective, oracle_limit=2**n) == SolverChoice(
+            "oracle", f"search space {2 ** (n - 1)} within limit {2**n}"
+        )
 
     def test_unknown_objective(self):
         inst = instance({"x": SINGLE})

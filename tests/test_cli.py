@@ -1,11 +1,14 @@
 """Command line behavior: reports, exit codes, determinism."""
 
+import hashlib
 import importlib
 import json
 import random
 import re
 import runpy
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +17,7 @@ from prefalloc.cli import main
 from prefalloc.core import serialize_instance
 from prefalloc.reductions import Cnf3Formula, X3CInstance
 
-from conftest import chain_instance, graph, instance
+from conftest import chain_instance, graph, instance, ladder_instance
 
 WORKED = serialize_instance(
     instance({"1": graph("abc"), "2": graph("b"), "3": graph("c")})
@@ -162,6 +165,30 @@ class TestSolve:
         assert code == 4
         assert out == ""
         assert "1100 items exceed the search depth" in err
+
+    def test_auto_route_refuses_items_past_the_search_depth(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # classify recommends no oracle run that solve would then refuse.
+        def no_search(inst):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(exact, "_prepare", no_search)
+        n = sys.getrecursionlimit() // 2 + 1
+        monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", str(2**n))
+        path = tmp_path / "ladder.json"
+        path.write_text(serialize_instance(ladder_instance(n)))
+        code, out, _ = run(capsys, "classify", str(path))
+        assert code == 0
+        assert json.loads(out)["recommended"] == {
+            "sum": "oracle-too-large",
+            "max": "oracle-too-large",
+        }
+        for objective in ("sum", "max"):
+            code, out, err = run(capsys, "solve", str(path), "--objective", objective)
+            assert code == 4
+            assert out == ""
+            assert f"{n} items exceed the search depth {n - 1}" in err
 
     def test_oracle_limit_negative(self, worked_path, capsys, monkeypatch):
         monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", "-5")
@@ -623,3 +650,29 @@ def test_benchmark_names_exist_in_the_library(monkeypatch):
         if not hasattr(importlib.import_module(f"prefalloc.{mod}"), attr)
     )
     assert missing == []
+
+
+# sha256 over the `service.handle` responses to the first 120 requests of
+# each workload's seed-1 corpus, the requests the benchmark's traced pass
+# serves.  Taken before graphs were stored in sorted-position form.
+BENCHMARK_RESPONSE_DIGESTS = {
+    "tractable-large": "bebe8ad735c07cc153447794ef939bcfaa776618d824191f5f1049d872a6ec1e",
+    "junction-flow": "a41d78d450d0504d6c34ad72222b62b19635ac93f3bf208602a64ddccd34b9d9",
+    "oracle-gadgets": "945cb1f58d06fa2134c80f306ec38fc34bcfe746ca17b0470271e13d6b50464f",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_RESPONSE_DIGESTS))
+def test_benchmark_responses_are_pinned(workload, monkeypatch):
+    bench = Path(__file__).parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    service = importlib.import_module("service")
+    workloads = importlib.import_module("workloads")
+    lib = SimpleNamespace(
+        **{m: importlib.import_module(f"prefalloc.{m}") for m in service.MODULES}
+    )
+    corpus, _ = workloads.build(lib, workload, 1)
+    digest = hashlib.sha256()
+    for req in corpus[:120]:
+        digest.update(service.handle(lib, req).encode())
+    assert digest.hexdigest() == BENCHMARK_RESPONSE_DIGESTS[workload]

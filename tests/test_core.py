@@ -229,16 +229,52 @@ def _text(text):
     return lambda doc: text
 
 
+def _agent0(items, arcs):
+    """Give agent 0 these items, added to the pool as well, and these arcs."""
+
+    def mutate(doc):
+        doc["items"] = sorted(set(doc["items"]) | set(items))
+        doc["agents"][0].update(items=items, arcs=arcs)
+
+    return mutate
+
+
+class Whole(str):
+    """An expected error text that must be the whole message."""
+
+
 DEEP = "[" * 200_000
 
 # (mutation of PARSE_BASE, text the error message must contain: the
-# offending item or arc, or its location when the value has no name)
+# offending item or arc, or its location when the value has no name).
+# The graph-level errors are pinned as whole messages.
 PARSE_ERRORS = {
     "agent-item-not-in-pool": (_set(["agents", 0, "items"], ["a", "b", "zz"]), "'zz'"),
-    "unknown-arc-tail": (_set(["agents", 0, "arcs"], [["zz", "b"]]), "'zz'"),
-    "arc-head-outside-agent": (_set(["agents", 0, "arcs"], [["a", "c"]]), "'c'"),
-    "self-loop": (_set(["agents", 0, "arcs"], [["b", "b"]]), "self-loop on item 'b'"),
-    "cycle": (_set(["agents", 0, "arcs"], [["a", "b"], ["b", "a"]]), "'a'"),
+    "unknown-arc-tail": (
+        _set(["agents", 0, "arcs"], [["zz", "b"]]),
+        Whole("arc ('zz', 'b') uses an unknown item (at agents[0])"),
+    ),
+    "arc-head-outside-agent": (
+        _set(["agents", 0, "arcs"], [["a", "c"]]),
+        Whole("arc ('a', 'c') uses an unknown item (at agents[0])"),
+    ),
+    "self-loop": (
+        _set(["agents", 0, "arcs"], [["b", "b"]]),
+        Whole("self-loop on item 'b' (at agents[0])"),
+    ),
+    "cycle": (
+        _set(["agents", 0, "arcs"], [["a", "b"], ["b", "a"]]),
+        Whole("graph is not acyclic (cycle through ['a', 'b']) (at agents[0])"),
+    ),
+    # Every item downstream of the cycle is stuck too; the first four
+    # in sorted order are named.
+    "long-cycle": (
+        _agent0(
+            ["a", "b", "c", "d", "e", "f"],
+            [["f", "e"], ["e", "d"], ["d", "c"], ["c", "b"], ["b", "a"], ["c", "f"]],
+        ),
+        Whole("graph is not acyclic (cycle through ['a', 'b', 'c', 'd']) (at agents[0])"),
+    ),
     "duplicate-item-ids": (_set(["items"], ["a", "b", "c", "b"]), "'b'"),
     "duplicate-agent-items": (_set(["agents", 0, "items"], ["a", "b", "a"]), "'a'"),
     "duplicate-arcs": (_set(["agents", 0, "arcs"], [["a", "b"], ["a", "b"]]), "('a', 'b')"),
@@ -260,6 +296,8 @@ def test_parse_error_contract(case, tmp_path, capsys):
     text = mutate(doc) or json.dumps(doc)
     with pytest.raises(ParseError) as info:
         parse_instance(text)
+    if isinstance(named, Whole):
+        assert str(info.value) == named
     assert named in str(info.value)
     path = tmp_path / "bad.json"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -319,10 +357,22 @@ def test_dominated_set_contains_bundle_and_is_monotone(g, data):
 @settings(max_examples=80, deadline=None)
 @given(dags())
 def test_predecessors_are_the_items_that_reach(g):
+    """Also checks the sorted-position form against the arcs and successors."""
     for v in g.items:
         assert g.predecessors(v) == {u for u in g.items if u != v and v in g.successors(u)}
     with pytest.raises(PreconditionError):
         g.predecessors("zz")
+    order = g.sorted_items
+    assert order == tuple(sorted(g.items))
+    assert dict(g.position) == {v: i for i, v in enumerate(order)}
+    for lists in (g.outs, g.ins):
+        assert len(lists) == len(order)
+        assert all(ns == tuple(sorted(set(ns))) for ns in lists)
+    assert {(order[i], order[j]) for i, hs in enumerate(g.outs) for j in hs} == g.arcs
+    assert {(order[j], order[i]) for i, ts in enumerate(g.ins) for j in ts} == g.arcs
+    assert len(g.reach) == len(order)
+    for i, v in enumerate(order):
+        assert g.reach[i] == sum(1 << g.position[u] for u in g.successors(v) | {v})
 
 
 @settings(max_examples=80, deadline=None)
