@@ -461,7 +461,8 @@ def profile(inst: Instance, alloc: Allocation) -> DissatisfactionProfile:
 
 
 def load_json(text: str | bytes):
-    """`json.loads`, raising ParseError on malformed, over-deep or non-UTF-8 input."""
+    """`json.loads`, raising ParseError on malformed, over-deep or non-UTF-8
+    input and on integers too long to convert."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -470,6 +471,8 @@ def load_json(text: str | bytes):
         raise ParseError("invalid JSON: nesting too deep") from None
     except UnicodeDecodeError as e:
         raise ParseError(f"invalid UTF-8: {e.reason} at byte {e.start}") from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise ParseError("invalid JSON: integer literal has too many digits") from None
 
 
 def _expect(cond: bool, message: str, location: str):

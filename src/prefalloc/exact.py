@@ -12,38 +12,30 @@ first optimum in that depth-first order is returned, which pins the
 witness down deterministically (the lexicographically least option
 vector among optimal allocations).
 
-`minimize` is a branch and bound over that scan.  Four rules cut it
-down without moving the witness:
+`minimize` is a branch and bound over that scan.  Its cuts never move
+the witness: a node is cut only when no completion from it scores below
+the incumbent, so every node on the first optimum's path, whose bound is
+no larger than the optimum and hence below every earlier incumbent,
+survives.  Three bounds cut, and a skip drops twin branches:
 
 * Suffix-union bound.  From item j on, agent a can at best gain every
   item of the union of its reach masks over items j..n-1 that it does not
   already reach.  Subtracting that from its current dissatisfaction gives
   a lower bound per agent; their sum (or max) bounds the objective, and a
-  node whose bound is at least the incumbent is cut.  Cutting at ">="
-  keeps the first optimum: every node on its path has a bound no larger
-  than the optimum, which is below every incumbent found before it.
-* Joint gain cap.  Each item goes to at most one agent and gains it at
-  most its reach mask's size, so C(j), the sum over items j..n-1 of the
-  largest reach mask any desiring agent has for the item, bounds the
-  total gain of every completion from item j on; an item two agents
-  desire counts once.  Under sum the objective ends at least at
-  sum(dissat) - C(j), so the node is cut when that is at least the
-  incumbent.  Under max, beating the incumbent needs every agent a to
-  gain at least max(0, dissat_a - incumbent + 1); the node is cut when
-  those needs add up to more than C(j).  Either cut fires only when no
-  completion from the node scores below the incumbent, which is all the
-  argument for ">=" above uses.
-  C is computed once per instance, beside the suffix unions.
-* Dynamic joint gain bound.  G(j), the sum over items j..n-1 of the
-  largest marginal gain |reach & ~mask| that any desiring agent would get
-  from the item under the node's masks, also bounds the total gain of
-  every completion: an item goes to at most one agent, and its marginal
-  gain only shrinks as that agent's mask grows further down.  G makes the
-  same two cuts as C, in its place, and is never larger.  It costs a pass
-  over the remaining items, so it is tried only when the two bounds above
-  do not cut, and the pass stops once G is too large to cut.  It too cuts
-  only when no completion from the node scores below the incumbent, so
-  the first optimum keeps its path.
+  node whose bound is at least the incumbent is cut.
+* Joint gain bounds.  Beating the incumbent needs the agents together to
+  gain more than an allowance A: under sum, A is sum(dissat) - incumbent;
+  under max, every agent a must gain max(0, dissat_a - incumbent + 1),
+  and A is those needs' sum less 1 (with no cut when no agent needs any
+  gain).  A node is cut when a bound on the total gain of every
+  completion is at most A.  Two such bounds hold, since each item goes
+  to at most one agent.  C(j), the sum over items j..n-1 of the largest
+  reach mask any desiring agent has for the item, is computed once per
+  instance beside the suffix unions.  G(j), the same sum over the
+  marginal gains |reach & ~mask| under the node's masks, is never
+  larger, as a marginal gain only shrinks while its agent's mask grows
+  further down; it costs a pass over the remaining items, so it is tried
+  only when the other cuts fail, and the pass stops once G passes A.
 * Zero-gain skip.  Giving item j to an agent that already reaches all of
   it leaves the search state exactly as in the "nobody" branch, which is
   searched first.  Every leaf of the skipped branch has an equal-valued
@@ -142,21 +134,18 @@ def _prepare(inst: Instance):
     return items, agents, reach, sizes
 
 
-def _suffix_unions(reach: list[dict[int, int]], n: int, k: int) -> list[list[int]]:
-    """suffix[ai][j]: union of agent ai's reach masks over items j..n-1."""
+def _suffix_bounds(
+    reach: list[dict[int, int]], n: int, k: int
+) -> tuple[list[list[int]], list[int]]:
+    """suffix[ai][j], the union of agent ai's reach masks over items j..n-1,
+    and cap[j], the sum over those items of the largest reach mask desiring it."""
     suffix = [[0] * (n + 1) for _ in range(k)]
+    cap = [0] * (n + 1)
     for j in range(n - 1, -1, -1):
         for ai in range(k):
             suffix[ai][j] = suffix[ai][j + 1] | reach[j].get(ai, 0)
-    return suffix
-
-
-def _suffix_caps(reach: list[dict[int, int]], n: int) -> list[int]:
-    """cap[j]: sum over items j..n-1 of the largest reach mask desiring it."""
-    cap = [0] * (n + 1)
-    for j in range(n - 1, -1, -1):
         cap[j] = cap[j + 1] + max((r.bit_count() for r in reach[j].values()), default=0)
-    return cap
+    return suffix, cap
 
 
 def _to_allocation(inst: Instance, assign: list[int | None]) -> Allocation:
@@ -180,8 +169,7 @@ def minimize(
     items, agents, reach, sizes = _prepare(inst)
     n = len(items)
     k = len(agents)
-    suffix = _suffix_unions(reach, n, k)
-    cap = _suffix_caps(reach, n)
+    suffix, cap = _suffix_bounds(reach, n, k)
 
     masks = [0] * k
     dissat = sizes[:]
@@ -209,27 +197,27 @@ def minimize(
     def pruned(j: int) -> bool:
         # True when no completion from this node can beat the incumbent.
         # Agent ai ends with at least sizes[ai] - |masks[ai] | suffix[ai][j]|
-        # dissatisfaction (dissat[ai] is sizes[ai] - |masks[ai]|), and all
-        # agents together gain at most cap[j], and at most G(j).
+        # dissatisfaction (dissat[ai] is sizes[ai] - |masks[ai]|).  To beat
+        # the incumbent the agents must together gain more than allowance,
+        # and they gain at most cap[j], and at most G(j).
         if objective == "sum":
-            total = sum(dissat)
-            if total - cap[j] >= best_value:
-                return True
             low = 0
             for ai in range(k):
                 low += sizes[ai] - (masks[ai] | suffix[ai][j]).bit_count()
             if low >= best_value:
                 return True
-            return gain_at_most(j, total - best_value)
-        need = 0
-        for ai in range(k):
-            if sizes[ai] - (masks[ai] | suffix[ai][j]).bit_count() >= best_value:
-                return True
-            if dissat[ai] >= best_value:
-                need += dissat[ai] - best_value + 1
-        if need == 0:
-            return False
-        return need > cap[j] or gain_at_most(j, need - 1)
+            allowance = sum(dissat) - best_value
+        else:
+            need = 0
+            for ai in range(k):
+                if sizes[ai] - (masks[ai] | suffix[ai][j]).bit_count() >= best_value:
+                    return True
+                if dissat[ai] >= best_value:
+                    need += dissat[ai] - best_value + 1
+            if need == 0:
+                return False
+            allowance = need - 1
+        return cap[j] <= allowance or gain_at_most(j, allowance)
 
     def dfs(j: int) -> None:
         nonlocal best_value, best_assign, leaves

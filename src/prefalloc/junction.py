@@ -30,14 +30,20 @@ matching of items not taken to open chains, where item x at depth t of
 an m-item chain gains m - t; the promises only add lower bounds.  So any
 prices p_x, q_c >= 0 with p_x + q_c >= gain(x, c) on every such pair
 cap it at sum p + sum q, by weak duality of the assignment relaxation.
-Three price choices are taken.  With p = 0, q_c is the gain of chain
-c's first item not taken; with q = 0, p_x is the best gain of item x on
-any open chain.  The third is one round: with p0_x the second-best gain
-of x over the open chains (0 on one chain), q_c is the largest
-gain(x, c) - p0_x on c, clamped at 0, and p_x is then the least price
-that covers every chain of x.  The bound uses the smallest of the three
-sums.  A guess whose bound does not exceed the incumbent is skipped, and
-a guess stops at the first pick that reaches its bound.  Only a strictly
+Two price choices are taken, and the bound uses the smaller sum.  With
+p = 0, q_c is the gain of chain c's first item not taken.  The other is
+one round: with p0_x the second-best gain of x over the open chains (0
+on one chain), q_c is the largest gain(x, c) - p0_x on c, clamped at 0,
+and p_x is then the least price that covers every chain of x.
+
+The choice q = 0, p_x the best gain of x on any open chain, is omitted:
+the round never exceeds it.  A positive q_c is best_x - second_x for an
+item x whose unique best chain is c, so distinct chains name distinct
+items, and that x then gets p_x <= second_x, since its other chains gain
+it at most second_x.  Every other item y has p_y <= best_y.
+
+A guess whose bound does not exceed the incumbent is skipped, and a
+guess stops at the first pick that reaches its bound.  Only a strictly
 better guess or pick replaces the best, so neither skip changes which
 optimum, the first in guess order, is returned.
 """
@@ -204,7 +210,7 @@ def _bound(guess: dict[str, _Case], taken: dict[str, str]) -> int:
     by_chain = sum(row[0][1] for row in rows)
     by_price = sum(q) + sum(p.values())
     fixed = sum(c.sat for c in guess.values())
-    return fixed + min(by_chain, sum(best.values()), by_price)
+    return fixed + min(by_chain, by_price)
 
 
 def _evaluate_guess(guess, taken, bound):

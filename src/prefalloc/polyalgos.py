@@ -247,38 +247,33 @@ def minsum_two_star_forests(inst: Instance) -> SolveResult:
     g = {a1: inst.graphs[a1], a2: inst.graphs[a2]}
     dom0 = {a: g[a].dominated_mask(pre.get(a) & g[a].items) for a in (a1, a2)}
     taken = pre.assigned_items()
-    remaining = [v for v in inst.items if v not in taken]
 
     def weight(v: str, a: str) -> int:
         return (g[a].reach[g[a].position[v]] & ~dom0[a]).bit_count()
 
     side_a: dict[tuple, int] = {}
     side_b: dict[tuple, int] = {}
-    root_both: set[str] = set()
-    for v in remaining:
+    edges = []
+    for v in inst.items:
+        if v in taken:
+            continue
         # Remaining items sit in both graphs, as roots of both or leaves
         # of both; that split is what makes the conflict graph two-sided.
-        if not g[a1].ins[g[a1].position[v]]:
-            root_both.add(v)
-            side_a[(v, a1)] = weight(v, a1)
-            side_b[(v, a2)] = weight(v, a2)
-        else:
+        if g[a1].ins[g[a1].position[v]]:  # a leaf: agent 2's copy on side A
             side_b[(v, a1)] = weight(v, a1)
             side_a[(v, a2)] = weight(v, a2)
-    edges = []
-    for v in remaining:
-        if v in root_both:
-            edges.append(((v, a1), (v, a2)))
-        else:
             edges.append(((v, a2), (v, a1)))
-    rem = set(remaining)
-    for r in sorted(root_both):
-        for a in (a1, a2):
-            for i in g[a].outs[g[a].position[r]]:
-                u = g[a].sorted_items[i]
-                if u in rem:
-                    pair = ((r, a), (u, a)) if a == a1 else ((u, a), (r, a))
-                    edges.append(pair)
+            continue
+        side_a[(v, a1)] = weight(v, a1)
+        side_b[(v, a2)] = weight(v, a2)
+        edges.append(((v, a1), (v, a2)))
+        # A root also conflicts, per agent, with its star's remaining leaves.
+        for i in g[a1].outs[g[a1].position[v]]:
+            if (u := g[a1].sorted_items[i]) not in taken:
+                edges.append(((v, a1), (u, a1)))
+        for i in g[a2].outs[g[a2].position[v]]:
+            if (u := g[a2].sorted_items[i]) not in taken:
+                edges.append(((u, a2), (v, a2)))
     gain, chosen = bipartite_mwis(side_a, side_b, edges)
     bundles = {a: set(pre.get(a)) for a in (a1, a2)}
     for v, a in chosen:

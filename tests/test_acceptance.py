@@ -7,9 +7,11 @@ the acceptance report.
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 from prefalloc import classify, exact, randgen
 from prefalloc.core import (
@@ -46,6 +48,8 @@ from prefalloc.reductions import (
 )
 
 from conftest import graph, instance, max_flow_arcs, residual_reach
+
+SRC = Path(__file__).parents[1] / "src"  # the checkout's package, for the CLI runs
 
 
 def report(num: int, description: str, ok: bool) -> None:
@@ -425,11 +429,14 @@ def test_criterion_09_generated_instances_pass_class_checks():
 
 
 def _cli_bytes(args: list[str], stdin_text: str | None = None) -> tuple:
+    # Run this checkout's package, whatever PYTHONPATH the caller has.
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
     proc = subprocess.run(
         [sys.executable, "-m", "prefalloc.cli", *args],
         input=stdin_text,
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -443,23 +450,27 @@ def test_criterion_10_cli_byte_determinism(tmp_path):
     cover_path.write_text(
         json.dumps({"X": ["e1", "e2", "e3"], "C": [["e1", "e2", "e3"]] * 3})
     )
+    # Each command with its documented exit code: the worked example's
+    # min-max value is 1, so the threshold-1 decision is "yes".
     commands = [
-        ["solve", str(inst_path), "--objective", "sum"],
-        ["solve", str(inst_path), "--objective", "max", "--threshold", "1"],
-        ["solve", str(inst_path), "--objective", "max", "--table"],
-        ["eval", str(inst_path), str(alloc_path)],
-        ["classify", str(inst_path)],
-        ["generate", "--random", "dag", "--items", "7", "--agents", "3",
-         "--seed", "11"],
-        ["generate", "--reduction", "x3c-stars", str(cover_path)],
+        (["solve", str(inst_path), "--objective", "sum"], 0),
+        (["solve", str(inst_path), "--objective", "max", "--threshold", "1"], 0),
+        (["solve", str(inst_path), "--objective", "max", "--threshold", "0"], 1),
+        (["solve", str(inst_path), "--objective", "max", "--table"], 0),
+        (["eval", str(inst_path), str(alloc_path)], 0),
+        (["classify", str(inst_path)], 0),
+        (["generate", "--random", "dag", "--items", "7", "--agents", "3",
+          "--seed", "11"], 0),
+        (["generate", "--reduction", "x3c-stars", str(cover_path)], 0),
     ]
     good = 0
-    for args in commands:
+    for args, code in commands:
         first = _cli_bytes(args)
         second = _cli_bytes(args)
-        good += first == second
+        good += first == second and first[0] == code and first[1] != ""
     report(
         10,
-        f"repeated CLI runs are byte-identical for {good}/{len(commands)} commands",
+        f"repeated CLI runs are byte-identical, with the documented exit code "
+        f"and a report, for {good}/{len(commands)} commands",
         good == len(commands),
     )

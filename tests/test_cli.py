@@ -219,6 +219,7 @@ class TestSolve:
 UNREADABLE = {
     "too-deep": (b"[" * 200_000, "nesting too deep"),
     "not-utf8": (b"\xff\xfe{}", "not UTF-8"),
+    "oversized-integer": (b'{"items": [' + b"1" * 5000 + b'], "agents": []}', "too many digits"),
 }
 
 
@@ -234,7 +235,8 @@ UNREADABLE = {
     ids=["solve", "classify", "eval-allocation", "generate-x3c-stars"],
 )
 def test_unreadable_input_is_bad_input(argv, kind, worked_path, tmp_path, capsys):
-    # Over-deep nesting and bad encoding exit 2 with one line, never a traceback.
+    # Over-deep nesting, bad encoding and an integer too long to convert
+    # exit 2 with one line, never a traceback.
     content, named = UNREADABLE[kind]
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
@@ -258,6 +260,11 @@ BAD_SOURCES = {
         "duplicate element '1' (at X[1])",
     ),
     "dimacs-not-utf8": ("sat-2agents", b"p cnf 1 1\n1 1 \xff 0\n", "not UTF-8"),
+    "x3c-oversized-integer": (
+        "x3c-stars",
+        b'{"X": [' + b"1" * 5000 + b', "b", "c"], "C": []}',
+        "too many digits",
+    ),
 }
 
 

@@ -286,6 +286,8 @@ PARSE_ERRORS = {
     "nesting-too-deep": (_text(DEEP), "nesting too deep"),
     "deep-but-closed": (_text('{"items": ' + "[" * 5000 + "]" * 5000 + "}"), "nesting too deep"),
     "invalid-utf8": (_text(b'{"items": ["\xff"], "agents": []}'), "UTF-8"),
+    # Past CPython's 4,300-digit limit for converting an integer literal.
+    "oversized-integer": (_text('{"items": [' + "1" * 5000 + '], "agents": []}'), "too many digits"),
 }
 
 
@@ -309,8 +311,13 @@ def test_parse_error_contract(case, tmp_path, capsys):
 @pytest.mark.parametrize("parse", [parse_allocation, parse_x3c])
 @pytest.mark.parametrize(
     "text, named",
-    [("{oops", "invalid JSON"), (DEEP, "nesting too deep"), (b'["\xff"]', "UTF-8")],
-    ids=["malformed", "too-deep", "not-utf8"],
+    [
+        ("{oops", "invalid JSON"),
+        (DEEP, "nesting too deep"),
+        (b'["\xff"]', "UTF-8"),
+        ("[" + "1" * 5000 + "]", "too many digits"),
+    ],
+    ids=["malformed", "too-deep", "not-utf8", "oversized-integer"],
 )
 def test_other_json_parsers_raise_parse_error(parse, text, named):
     with pytest.raises(ParseError, match=named):

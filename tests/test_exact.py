@@ -166,11 +166,15 @@ def test_gadget_leaf_count_regression():
     assert res.leaves <= 48
 
 
-def test_benchmark_oracle_prefix_leaf_count(monkeypatch):
+@pytest.mark.parametrize(
+    "objective, expected", [("max", 3444), ("sum", 4335)], ids=["max", "sum"]
+)
+def test_benchmark_oracle_prefix_leaf_count(monkeypatch, objective, expected):
     """Leaves summed over the first 120 requests of the seed-1 oracle-gadgets
-    corpus, the requests the benchmark's traced pass serves.  They were
-    20490 under the suffix-union bound, 9438 with the joint gain cap and
-    3444 with the dynamic joint gain bound."""
+    corpus, the requests the benchmark's traced pass serves.  The corpus
+    asks for max; under max they were 20490 under the suffix-union bound,
+    9438 with the joint gain cap and 3444 with the dynamic joint gain
+    bound.  Under sum, which pins the sum allowance's cuts, they are 4335."""
     bench = Path(__file__).parents[1] / "perfbench"
     monkeypatch.syspath_prepend(str(bench))
     service = importlib.import_module("service")
@@ -179,11 +183,11 @@ def test_benchmark_oracle_prefix_leaf_count(monkeypatch):
         **{m: importlib.import_module(f"prefalloc.{m}") for m in service.MODULES}
     )
     corpus, _ = workloads.build(lib, "oracle-gadgets", 1)
+    assert {req.objective for req in corpus[:120]} == {"max"}
     leaves = sum(
-        minimize(parse_instance(req.instance), req.objective).leaves
-        for req in corpus[:120]
+        minimize(parse_instance(req.instance), objective).leaves for req in corpus[:120]
     )
-    assert leaves == 3444
+    assert leaves == expected
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -161,6 +161,45 @@ def test_price_bound_lies_between_assignment_and_chain_item_sums(seed):
         assert fixed + relaxed <= _bound(guess, taken) <= upper
 
 
+@pytest.mark.parametrize("seed", range(200))
+def test_bound_is_chain_or_price_round_and_within_the_item_sum(seed):
+    # _bound reads only each case's rows and sat, so the rows are built
+    # directly: chains of m items from a small pool, depth t gaining m - t,
+    # so an item sits on one chain or on many.
+    rng = random.Random(seed)
+    pool = [f"x{i}" for i in range(rng.randint(1, 8))]
+    guess = {}
+    for a in range(rng.randint(1, 4)):
+        rows = []
+        for _ in range(rng.randint(0, 3)):
+            items = rng.sample(pool, rng.randint(1, len(pool)))
+            rows.append([(x, len(items) - t) for t, x in enumerate(items)])
+        guess[str(a)] = junction._Case([], rng.randint(0, 5), [], [], [], [], rows)
+    taken = {x: "0" for x in pool if rng.random() < 0.25}
+    rows = [
+        row
+        for c in guess.values()
+        for full in c.rows
+        if (row := [(x, gx) for x, gx in full if x not in taken])
+    ]
+    gains: dict[str, list[int]] = {}
+    for row in rows:
+        for x, gx in row:
+            gains.setdefault(x, []).append(gx)
+    second = {x: sorted(gs)[-2] if len(gs) > 1 else 0 for x, gs in gains.items()}
+    q = [max([0] + [gx - second[x] for x, gx in row]) for row in rows]
+    p = {
+        x: max([0] + [gx - qc for row, qc in zip(rows, q) for y, gx in row if y == x])
+        for x in gains
+    }
+    by_chain = sum(row[0][1] for row in rows)
+    by_price = sum(q) + sum(p.values())
+    by_item = sum(max(gs) for gs in gains.values())
+    fixed = sum(c.sat for c in guess.values())
+    assert _bound(guess, taken) == fixed + min(by_chain, by_price)
+    assert by_price <= by_item
+
+
 def test_unkeepable_promises_are_dropped_with_their_case(monkeypatch):
     # Without pair slots no pick can keep a promise that has no chain of
     # its own, so a case holding one is dropped when it is built: every
