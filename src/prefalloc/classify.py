@@ -122,7 +122,6 @@ def dispatch(
     inst: Instance,
     objective: str,
     *,
-    gamma_limit: int = DEFAULT_GAMMA_LIMIT,
     oracle_limit: int | None = None,
 ) -> SolverChoice:
     """Pick the best solver for the instance shape and objective.
@@ -144,9 +143,9 @@ def dispatch(
         if route.shape is not GraphClass.GENERAL_DAG:
             return SolverChoice(route.name, route.reason)
         gamma = junction_count(inst)
-        if gamma <= gamma_limit:
+        if gamma <= DEFAULT_GAMMA_LIMIT:
             return SolverChoice(
-                route.name, route.reason.format(gamma=gamma, gamma_limit=gamma_limit)
+                route.name, route.reason.format(gamma=gamma, gamma_limit=DEFAULT_GAMMA_LIMIT)
             )
     ok, reason = exact.fits(inst, oracle_limit)
     return SolverChoice("oracle" if ok else "oracle-too-large", reason)

@@ -167,7 +167,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     try:
-        alloc = parse_allocation(_read_text(args.allocation), inst)
+        alloc = parse_allocation(_read_text(args.allocation))
     except ParseError as exc:
         raise _CliError(EXIT_INPUT, f"bad allocation: {exc}") from None
     violations = validate_allocation(inst, alloc)

@@ -55,10 +55,6 @@ class NormalizationWarning(UserWarning):
     """Emitted when inputs are normalized (e.g. items nobody desires dropped)."""
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 class GraphClass(enum.Enum):
     """Shape labels of a preference graph; `PreferenceGraph.classes` decides them.
 
@@ -439,7 +435,7 @@ def dissatisfaction(inst: Instance, alloc: Allocation, agent: AgentId) -> int:
     """Number of items in the agent's graph left uncovered by its bundle."""
     _require_valid(inst, alloc)
     g = inst.graph(agent)
-    return len(g.items) - _popcount(g.dominated_mask(alloc.get(agent)))
+    return len(g.items) - g.dominated_mask(alloc.get(agent)).bit_count()
 
 
 def satisfaction(inst: Instance, alloc: Allocation, agent: AgentId) -> int:
@@ -453,7 +449,7 @@ def profile(inst: Instance, alloc: Allocation) -> DissatisfactionProfile:
     values = []
     for a in inst.agents:
         g = inst.graphs[a]
-        values.append(len(g.items) - _popcount(g.dominated_mask(alloc.get(a))))
+        values.append(len(g.items) - g.dominated_mask(alloc.get(a)).bit_count())
     return DissatisfactionProfile(inst.agents, tuple(values))
 
 
@@ -559,17 +555,8 @@ def serialize_instance(inst: Instance) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def parse_allocation(
-    text: str | bytes, inst: Instance | None = None, *, lenient: bool = False
-) -> Allocation:
-    """Parse {"allocation": {agent: [items]}}.
-
-    With `lenient=True` (requires `inst`), items assigned to an agent that
-    does not desire them are dropped with a warning instead of being kept
-    for validation to reject.
-    """
-    if lenient and inst is None:
-        raise PreconditionError("lenient parsing requires an instance")
+def parse_allocation(text: str | bytes) -> Allocation:
+    """Parse {"allocation": {agent: [items]}}; `validate_allocation` checks it."""
     data = load_json(text)
     _expect(isinstance(data, dict), "top level must be an object", "$")
     _expect("allocation" in data, 'missing "allocation"', "$")
@@ -583,15 +570,6 @@ def parse_allocation(
         for j, v in enumerate(raw):
             _expect(isinstance(v, str), "item ids must be strings", f"{loc}[{j}]")
             bundle.add(v)
-        if lenient and agent in inst.graphs:
-            drop = bundle - inst.graphs[agent].items
-            if drop:
-                warnings.warn(
-                    f"dropping {sorted(drop)} from agent {agent!r}: not desired",
-                    NormalizationWarning,
-                    stacklevel=2,
-                )
-                bundle -= drop
         out[agent] = bundle
     return Allocation.of(out)
 

@@ -19,10 +19,12 @@ junction count, so this is meant for instances where that count is small.
 
 Each agent's consistency rules read only its own junctions, so each
 agent's consistent cases are built once and a guess is one case per
-agent, with no junction received by two agents.  A case is dropped when
-it is built if one of its case-2 or case-3 promises has neither a chain
-of its own nor a pair slot to keep it, since every flow of every guess
-holding it would fail.
+agent, with no junction received by two agents.  A pair slot is a
+case-3 and a case-2 promise that one chain could keep at once.  Each
+case lists its keepable picks of its pair slots once, as the flow group
+of each open chain: a pick is kept only when every promise it leaves
+unpaired has a chain of its own, and a case with no keepable pick is
+dropped, since every flow of every guess holding it would fail.
 
 Before its flows, a guess is bounded by its fixed satisfaction plus an
 upper bound on its flows.  Every flow, whatever its pair picks, is a
@@ -53,7 +55,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .core import Allocation, Instance, SizeGuardError
+from .core import Allocation, Instance
 from .core import profile  # noqa: F401  perfbench/tracing.py wraps it by name
 from .kernels import max_profit_flow
 from .polyalgos import Chain, SolveResult, _chain_network, _chains
@@ -65,21 +67,14 @@ class _Case(NamedTuple):
     taken: list[str]  # junctions the agent receives (case 1), sorted
     sat: int  # items covered by its case-1 and case-2 junctions
     chains: list[Chain]  # open chains: every end the guess allows
-    need3: list[str]  # case-3 junctions a chain must keep, sorted
-    need2: list[str]  # case-2 junctions a chain must keep, sorted
-    pairs: list[tuple[str, str]]  # (case-3, case-2) promises one chain may keep
+    # Per keepable pair pick: each open chain's flow group (None: straight
+    # to the sink) and the group count.
+    exits: list[tuple[list[int | None], int]]
     rows: list[list[tuple[str, int]]]  # per open chain, (item, gain m - t) by depth t
 
 
-def minsum_few_junctions(
-    inst: Instance, max_junctions: int | None = None
-) -> SolveResult:
+def minsum_few_junctions(inst: Instance) -> SolveResult:
     """Exact min-sum solver parameterized by the total junction count."""
-    gamma = sum(len(inst.graphs[a].junctions) for a in inst.agents)
-    if max_junctions is not None and gamma > max_junctions:
-        raise SizeGuardError(
-            f"{gamma} junction vertices exceed the limit {max_junctions}"
-        )
     # Guesses run through the agents in order, each over its sorted
     # junctions, so this product is the product over all (agent, junction)
     # slots with the infeasible local cases left out.
@@ -141,11 +136,19 @@ def _agent_cases(g) -> list[_Case]:
             if (v1, v2) in linking and not (v1 in auto3 and v2 in auto2)
         ]
         need3, need2 = sorted(exposed - auto3), sorted(by_case[2] - auto2)
-        # A promise that neither a chain of its own nor a pair can keep
-        # fails in every flow of every guess holding this case.
-        keeps3 = {v1 for v1, v2 in linking if v2 is None} | {v1 for v1, _ in pairs}
-        keeps2 = {v2 for v1, v2 in linking if v1 is None} | {v2 for _, v2 in pairs}
-        if not (keeps3.issuperset(need3) and keeps2.issuperset(need2)):
+        # Each pick's groups: its pairs, then every promise it leaves
+        # unpaired, on a chain of its own; a promise with no such chain
+        # fails in every flow, so the pick is not kept.
+        exits = []
+        for pick in itertools.product((False, True), repeat=len(pairs)):
+            picked = [p for p, on in zip(pairs, pick) if on]
+            v1s, v2s = {v1 for v1, _ in picked}, {v2 for _, v2 in picked}
+            groups = picked + [(v1, None) for v1 in need3 if v1 not in v1s]
+            groups += [(None, v2) for v2 in need2 if v2 not in v2s]
+            if linking.issuperset(groups):
+                k = {ends: i for i, ends in enumerate(groups)}
+                exits.append(([k.get((ch.start, ch.end)) for ch in open_chains], len(groups)))
+        if not exits:
             continue
         rows = [
             [(x, len(ch.items) - t) for t, x in enumerate(ch.items)] for ch in open_chains
@@ -155,9 +158,7 @@ def _agent_cases(g) -> list[_Case]:
                 sorted(taken),
                 g.dominated_mask(covered).bit_count(),
                 open_chains,
-                need3,
-                need2,
-                pairs,
+                exits,
                 rows,
             )
         )
@@ -215,11 +216,9 @@ def _bound(guess: dict[str, _Case], taken: dict[str, str]) -> int:
 
 def _evaluate_guess(guess, taken, bound):
     """Best claimed satisfaction and bundles under one guess, or None if infeasible."""
-    pair_slots = [(a, v1, v2) for a, c in guess.items() for v1, v2 in c.pairs]
     best = None
-    for picks in itertools.product((False, True), repeat=len(pair_slots)):
-        mandatory = {ps for ps, on in zip(pair_slots, picks) if on}
-        got = _solve_flow(guess, taken, mandatory)
+    for picks in itertools.product(*(c.exits for c in guess.values())):
+        got = _solve_flow(guess, taken, picks)
         if got is not None and (best is None or got[0] > best[0]):
             best = got
             if best[0] >= bound:
@@ -227,46 +226,22 @@ def _evaluate_guess(guess, taken, bound):
     return best
 
 
-def _solve_flow(guess, taken, mandatory):
-    """Claimed satisfaction and bundles for one fully specified guess."""
-    # Chain groups that must hand out at least one item.
-    groups: list[list[tuple[str, int]]] = []  # members are (agent, chain index)
-    group_of: dict[tuple[str, int], int] = {}
-
-    def add_group(a: str, start: str | None, end: str | None) -> bool:
-        members = [
-            (a, ci)
-            for ci, ch in enumerate(guess[a].chains)
-            if ch.start == start and ch.end == end
-        ]
-        if not members:
-            return False
-        for m in members:
-            group_of[m] = len(groups)
-        groups.append(members)
-        return True
-
-    for a, v1, v2 in sorted(mandatory):
-        add_group(a, v1, v2)
-    for a, c in guess.items():
-        paired3 = {v1 for (aa, v1, _) in mandatory if aa == a}
-        paired2 = {v2 for (aa, _, v2) in mandatory if aa == a}
-        for v1 in c.need3:
-            if v1 not in paired3 and not add_group(a, v1, None):
-                return None  # promise cannot be kept on its own
-        for v2 in c.need2:
-            if v2 not in paired2 and not add_group(a, None, v2):
-                return None
-
+def _solve_flow(guess, taken, picks):
+    """Claimed satisfaction and bundles for one guess and one stored pick per agent."""
     # The network is a DAG, as max_profit_flow requires: s -> item ->
     # chain node -> group -> t, or straight from the chain node to t.
+    # Each group must hand out at least one item.
     rows = [
-        (a, ch.items, ("g", group_of[(a, ci)]) if (a, ci) in group_of else "t")
-        for a, c in guess.items()
-        for ci, ch in enumerate(c.chains)
+        (a, ch.items, "t" if k is None else ("g", a, k))
+        for (a, c), (groups, _) in zip(guess.items(), picks)
+        for ch, k in zip(c.chains, groups)
     ]
     arcs, tags = _chain_network(rows, taken)
-    arcs += [(("g", gid), "t", 1, None, 0) for gid in range(len(groups))]
+    arcs += [
+        (("g", a, k), "t", 1, None, 0)
+        for a, (_, count) in zip(guess, picks)
+        for k in range(count)
+    ]
 
     feasible, prof, flows = max_profit_flow(arcs, "s", "t")
     if not feasible:

@@ -166,8 +166,13 @@ class TestDispatch:
         assert "gamma = 2" in choice.reason
 
     def test_sum_gamma_above_limit_goes_to_oracle(self):
-        inst = instance({"x": DIAMOND, "y": CHAIN3})
-        assert dispatch(inst, "sum", gamma_limit=1).name == "oracle"
+        # Every item of a ladder is a junction: gamma = 6 still takes the
+        # junction route, gamma = 7 goes to the oracle.
+        at, above = ladder_instance(DEFAULT_GAMMA_LIMIT), ladder_instance(DEFAULT_GAMMA_LIMIT + 1)
+        assert junction_count(at) == DEFAULT_GAMMA_LIMIT
+        assert dispatch(at, "sum") == SolverChoice("minsum-junctions", "gamma = 6 <= 6")
+        assert junction_count(above) == DEFAULT_GAMMA_LIMIT + 1
+        assert dispatch(above, "sum").name == "oracle"
 
     def test_oracle_too_large(self):
         inst = instance({"x": DIAMOND, "y": DIAMOND})

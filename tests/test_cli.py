@@ -306,6 +306,13 @@ class TestEval:
         assert code == 2
         assert "both" in err
 
+    def test_undesired_item_rejected(self, worked_path, tmp_path, capsys):
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text('{"allocation": {"2": ["a", "b"]}}')
+        code, out, err = run(capsys, "eval", worked_path, str(alloc))
+        assert code == 2 and out == ""
+        assert "item 'a' assigned to agent '2' who does not desire it" in err
+
 
 class TestClassify:
     def test_report_fields(self, worked_path, capsys):

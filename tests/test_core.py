@@ -191,18 +191,6 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse_allocation('{"allocation": {"x": "a"}}')
 
-    def test_lenient_parse_drops_undesired(self, worked):
-        text = '{"allocation": {"2": ["a", "b"]}}'
-        with pytest.warns(NormalizationWarning):
-            alloc = parse_allocation(text, worked, lenient=True)
-        assert alloc.get("2") == {"b"}
-
-    @pytest.mark.parametrize(
-        "text", ['{"allocation": {}}', '{"allocation": {"2": ["b"]}}']
-    )
-    def test_lenient_parse_requires_an_instance(self, text):
-        with pytest.raises(PreconditionError, match="requires an instance"):
-            parse_allocation(text, lenient=True)
 
 
 PARSE_BASE = {

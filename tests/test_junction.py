@@ -9,15 +9,11 @@ import pytest
 
 from prefalloc import exact, junction, randgen
 from prefalloc.classify import junction_count
-from prefalloc.core import (
-    SizeGuardError,
-    profile,
-    serialize_instance,
-    validate_allocation,
-)
+from prefalloc.core import profile, serialize_instance, validate_allocation
 from prefalloc.junction import (
     _agent_cases,
     _bound,
+    _evaluate_guess,
     _solve_flow,
     _taken,
     minsum_few_junctions,
@@ -55,14 +51,6 @@ def test_fan_in_needs_all_parents():
     inst = instance({"x": g, "y": graph("c")})
     res = minsum_few_junctions(inst)
     assert res.value == exact.minimize(inst, "sum").value == 0
-
-
-def test_junction_limit_enforced():
-    g = graph("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
-    inst = instance({"x": g})
-    with pytest.raises(SizeGuardError):
-        minsum_few_junctions(inst, max_junctions=1)
-    assert minsum_few_junctions(inst, max_junctions=2).value == 0
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -129,11 +117,9 @@ def _guesses(inst):
 def test_bound_caps_every_flow_of_a_guess(seed):
     for guess, taken in _guesses(_junction_draw(seed)):
         bound = _bound(guess, taken)
-        pair_slots = [(a, v1, v2) for a, c in guess.items() for v1, v2 in c.pairs]
-        for k in range(len(pair_slots) + 1):
-            for mandatory in itertools.combinations(pair_slots, k):
-                got = _solve_flow(guess, taken, set(mandatory))
-                assert got is None or got[0] <= bound
+        for picks in itertools.product(*(c.exits for c in guess.values())):
+            got = _solve_flow(guess, taken, picks)
+            assert got is None or got[0] <= bound
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -174,7 +160,7 @@ def test_bound_is_chain_or_price_round_and_within_the_item_sum(seed):
         for _ in range(rng.randint(0, 3)):
             items = rng.sample(pool, rng.randint(1, len(pool)))
             rows.append([(x, len(items) - t) for t, x in enumerate(items)])
-        guess[str(a)] = junction._Case([], rng.randint(0, 5), [], [], [], [], rows)
+        guess[str(a)] = junction._Case([], rng.randint(0, 5), [], [], rows)
     taken = {x: "0" for x in pool if rng.random() < 0.25}
     rows = [
         row
@@ -201,9 +187,10 @@ def test_bound_is_chain_or_price_round_and_within_the_item_sum(seed):
 
 
 def test_unkeepable_promises_are_dropped_with_their_case(monkeypatch):
-    # Without pair slots no pick can keep a promise that has no chain of
-    # its own, so a case holding one is dropped when it is built: every
-    # pairless guess that remains gets as far as its flow.
+    # A pick whose unpaired promise has no chain of its own is not stored,
+    # and a case with no pick left is dropped when it is built: every group
+    # of a stored pick holds a chain, and every stored pick of every guess
+    # gets as far as exactly one flow.
     flows = 0
 
     def counting(*args):
@@ -213,12 +200,55 @@ def test_unkeepable_promises_are_dropped_with_their_case(monkeypatch):
 
     monkeypatch.setattr(junction, "max_profit_flow", counting)
     for seed in range(200):
-        for guess, taken in _guesses(_junction_draw(seed)):
-            if any(c.pairs for c in guess.values()):
-                continue
-            before = flows
-            _solve_flow(guess, taken, set())
-            assert flows == before + 1, (seed, guess)
+        inst = _junction_draw(seed)
+        for a in inst.agents:
+            for c in _agent_cases(inst.graphs[a]):
+                assert c.exits
+                for groups, count in c.exits:
+                    assert set(groups) - {None} == set(range(count)), (seed, a, c)
+        for guess, taken in _guesses(inst):
+            for picks in itertools.product(*(c.exits for c in guess.values())):
+                before = flows
+                _solve_flow(guess, taken, picks)
+                assert flows == before + 1, (seed, guess, picks)
+
+
+def _pair_slot_gadget(roles):
+    """Agent i has items p_i, c, q_i, d, e, for (c, d, e) its i-th roles.
+
+    Arcs p_i -> c -> q_i, p_i -> d and e -> q_i make p_i and q_i junctions.
+    In its case (p_i: 3, q_i: 2) the pair slot (p_i, q_i) is kept by chain
+    [c]; without the pick, the groups are [d] and [e].
+    """
+    graphs = {}
+    for i, (c, d, e) in enumerate(roles):
+        p, q = f"p{i}", f"q{i}"
+        graphs[str(i)] = graph([p, c, q, d, e], [(p, c), (c, q), (p, d), (e, q)])
+    return instance(graphs)
+
+
+# sha256 of every guess's _evaluate_guess result, under its bound and under
+# one no flow reaches, over the gadgets below; taken from the solver that
+# flattened every agent's pair slots into one product per guess.
+PINNED_PICK_DIGEST = "8328ce02d2e2b40cd1a2ffa43f49e385c2c939b942bf0f02658d07f2f1f16b8c"
+
+
+def test_pair_pick_order_is_pinned():
+    # Rotated roles share c, d and e among two and three agents; the last
+    # gadget shares only d, so two agents' picks tie and the first in
+    # guess order must win.
+    got = []
+    for roles in (["cde", "dec"], ["cde", "dec", "ecd"], ["cde", "xdy"]):
+        inst = _pair_slot_gadget(roles)
+        picks = [len(c.exits) for c in _agent_cases(inst.graphs["0"])]
+        assert picks.count(2) == 1 and set(picks) == {1, 2}
+        for guess, taken in _guesses(inst):
+            bound = _bound(guess, taken)
+            for b in (bound, bound + 1):
+                r = _evaluate_guess(guess, taken, b)
+                got.append(r and [r[0], sorted([a, sorted(x)] for a, x in r[1].items())])
+    digest = hashlib.sha256(json.dumps(got).encode()).hexdigest()
+    assert digest == PINNED_PICK_DIGEST
 
 
 # sha256 of the (value, witness) list over _junction_draw(0..199), taken
