@@ -125,7 +125,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "algorithm": name,
         "reason": reason,
         "value": checked,
-        "profile": {a: v for a, v in zip(prof.agents, prof.values)},
+        "profile": prof.as_dict(),
         "sum": prof.total,
         "max": prof.maximum,
         "allocation": _alloc_payload(witness),

@@ -97,10 +97,10 @@ class PreferenceGraph:
     and `reach[i]` has bit j set when i reaches `sorted_items[j]`, i
     itself included.  They are shared, so callers only read them: `exact`
     reads the reach masks, `polyalgos` and `junction` the neighbour tuples
-    and masks, and `profile` goes through `dominated_mask`.  The string
-    accessors are views over the same form.  The shape labels, `classes`,
-    and the junction set, `junctions`, are derived from the degrees on
-    first read, so graphs that are never classified never pay for them.
+    and masks, and `profile` goes through `dominated_mask`, which refuses
+    an unknown item.  The shape labels, `classes`, and the junction set,
+    `junctions`, are derived from the degrees on first read, so graphs
+    that are never classified never pay for them.
     """
 
     items: frozenset[ItemId]
@@ -157,20 +157,6 @@ class PreferenceGraph:
         object.__setattr__(self, "ins", list(map(tuple, ins)))
         object.__setattr__(self, "reach", reach)
 
-    # -- basic structure -------------------------------------------------
-
-    def out_neighbors(self, v: ItemId) -> tuple[ItemId, ...]:
-        return tuple(self.sorted_items[j] for j in self.outs[self._at(v)])
-
-    def in_neighbors(self, v: ItemId) -> tuple[ItemId, ...]:
-        return tuple(self.sorted_items[j] for j in self.ins[self._at(v)])
-
-    def out_degree(self, v: ItemId) -> int:
-        return len(self.outs[self._at(v)])
-
-    def in_degree(self, v: ItemId) -> int:
-        return len(self.ins[self._at(v)])
-
     @cached_property
     def classes(self) -> frozenset[GraphClass]:
         """Every shape label the graph has, always including GENERAL_DAG.
@@ -216,27 +202,9 @@ class PreferenceGraph:
         except KeyError:
             raise PreconditionError(f"item {v!r} is not in this graph") from None
 
-    def _mask_to_set(self, mask: int) -> frozenset[ItemId]:
-        return frozenset(v for i, v in enumerate(self.sorted_items) if mask >> i & 1)
-
-    # -- reachability ----------------------------------------------------
-
-    def successors(self, v: ItemId) -> frozenset[ItemId]:
-        """All items reachable from v, excluding v itself."""
-        i = self._at(v)
-        return self._mask_to_set(self.reach[i] & ~(1 << i))
-
-    def predecessors(self, v: ItemId) -> frozenset[ItemId]:
-        """All items from which v is reachable, excluding v itself."""
-        i = self._at(v)
-        above = sum(1 << j for j, r in enumerate(self.reach) if r >> i & 1)
-        return self._mask_to_set(above ^ (1 << i))
-
-    def dominated_set(self, assigned: Iterable[ItemId]) -> frozenset[ItemId]:
-        """Items covered by `assigned`: the set itself plus everything reachable."""
-        return self._mask_to_set(self.dominated_mask(assigned))
-
     def dominated_mask(self, assigned: Iterable[ItemId]) -> int:
+        """Items covered by `assigned`, as a mask over `sorted_items`: the
+        items themselves plus everything they reach."""
         mask = 0
         for v in assigned:
             mask |= self.reach[self._at(v)]
@@ -297,7 +265,7 @@ class Instance:
         desired = set()
         for g in graphs.values():
             desired |= g.items
-        inst = cls(tuple(sorted(items & desired)), tuple(sorted(graphs)), dict(graphs))
+        inst = cls(items & desired, tuple(graphs), dict(graphs))
         dropped = items - desired
         if dropped and warn_dropped:  # only once the instance is valid
             warnings.warn(
@@ -387,9 +355,6 @@ class DissatisfactionProfile:
 
     def as_dict(self) -> dict[AgentId, int]:
         return dict(zip(self.agents, self.values))
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return self.values
 
 
 # -- allocation semantics ------------------------------------------------
@@ -533,7 +498,7 @@ def parse_instance(text: str | bytes) -> Instance:
             arcs.append((tail, head))
         _expect_unique(arcs, "arc", f"{loc}.arcs")
         try:
-            graphs[aid] = PreferenceGraph(frozenset(aitems), frozenset(arcs))
+            graphs[aid] = PreferenceGraph(aitems, arcs)
         except ParseError as e:
             raise ParseError(str(e), loc) from None
     return Instance.build(items, graphs)
@@ -581,7 +546,7 @@ def serialize_allocation(alloc: Allocation) -> str:
 
 def serialize_profile(prof: DissatisfactionProfile) -> str:
     payload = {
-        "profile": {a: v for a, v in zip(prof.agents, prof.values)},
+        "profile": prof.as_dict(),
         "sum": prof.total,
         "max": prof.maximum,
     }

@@ -55,7 +55,8 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .core import Allocation, Instance
+from .classify import DEFAULT_GAMMA_LIMIT, junction_count
+from .core import Allocation, Instance, SizeGuardError
 from .core import profile  # noqa: F401  perfbench/tracing.py wraps it by name
 from .kernels import max_profit_flow
 from .polyalgos import Chain, SolveResult, _chain_network, _chains
@@ -74,7 +75,14 @@ class _Case(NamedTuple):
 
 
 def minsum_few_junctions(inst: Instance) -> SolveResult:
-    """Exact min-sum solver parameterized by the total junction count."""
+    """Exact min-sum solver parameterized by the total junction count.
+
+    Refuses with SizeGuardError past `DEFAULT_GAMMA_LIMIT` junctions, the
+    limit `dispatch` routes by.
+    """
+    gamma = junction_count(inst)
+    if gamma > DEFAULT_GAMMA_LIMIT:
+        raise SizeGuardError(f"gamma = {gamma} exceeds the junction limit {DEFAULT_GAMMA_LIMIT}")
     # Guesses run through the agents in order, each over its sorted
     # junctions, so this product is the product over all (agent, junction)
     # slots with the infeasible local cases left out.

@@ -13,6 +13,16 @@ def graph(items, arcs=()) -> PreferenceGraph:
     return PreferenceGraph(frozenset(items), frozenset(arcs))
 
 
+def reachable(g: PreferenceGraph, v) -> set:
+    """Items reachable from v along `g.arcs`, v included: a plain
+    breadth-first walk, independent of the graph's reach masks."""
+    seen, frontier = {v}, [v]
+    while frontier:
+        frontier = [h for t, h in g.arcs if t in frontier and h not in seen]
+        seen.update(frontier)
+    return seen
+
+
 def instance(graphs: dict) -> Instance:
     pool = set()
     for g in graphs.values():
@@ -75,7 +85,7 @@ def brute_profiles(inst: Instance) -> set:
         for v, a in zip(inst.items, combo):
             if a is not None:
                 bundles.setdefault(a, set()).add(v)
-        out.add(profile(inst, Allocation.of(bundles)).as_tuple())
+        out.add(profile(inst, Allocation.of(bundles)).values)
     return out
 
 

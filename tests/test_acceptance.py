@@ -416,12 +416,7 @@ def test_criterion_09_generated_instances_pass_class_checks():
             good += all(
                 GraphClass.DISJOINT_PATHS in inst.graphs[a].classes
                 and len(inst.graphs[a].items) <= 5
-                and sum(
-                    1
-                    for v in inst.graphs[a].items
-                    if inst.graphs[a].in_degree(v) == 0
-                )
-                <= 2
+                and sum(1 for ts in inst.graphs[a].ins if not ts) <= 2
                 for a in inst.agents
             )
     report(9, f"generated instances pass their advertised class checks "

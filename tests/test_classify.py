@@ -21,7 +21,7 @@ from prefalloc.classify import (
 )
 from prefalloc.core import ParseError, PreconditionError, PreferenceGraph
 
-from conftest import brute_minimum, graph, instance, ladder_instance
+from conftest import brute_minimum, graph, instance, ladder_instance, reachable
 
 SINGLE = graph("a")
 ARC = graph("ab", [("a", "b")])
@@ -210,8 +210,9 @@ class TestDispatch:
 # -- labels against their definitions ------------------------------------
 #
 # Reference predicates written from the `GraphClass` member docstrings: arcs are
-# read straight from the arc set and reachability from `successors`, so
-# none of them shares a degree shortcut with `PreferenceGraph.classes`.
+# read straight from the arc set and reachability from a plain walk over it
+# (`conftest.reachable`), so none of them shares a degree shortcut or a
+# reach mask with `PreferenceGraph.classes`.
 
 
 def _in_arcs(g, v):
@@ -241,7 +242,7 @@ def _ref_out_star(g):
 def _ref_out_tree(g):
     # one root reaching every item, every other vertex entered by one arc
     return any(
-        g.successors(r) | {r} == g.items
+        reachable(g, r) == g.items
         and not _in_arcs(g, r)
         and all(len(_in_arcs(g, v)) == 1 for v in g.items - {r})
         for r in g.items

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from prefalloc import classify, exact, randgen, reductions
+from prefalloc import classify, exact, junction, randgen, reductions
 from prefalloc.cli import main
 from prefalloc.core import serialize_instance
 from prefalloc.reductions import Cnf3Formula, X3CInstance
@@ -165,6 +165,22 @@ class TestSolve:
         assert code == 4
         assert out == ""
         assert "1100 items exceed the search depth" in err
+
+    def test_forced_junction_route_refuses_past_the_routing_limit(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_search(g):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(junction, "_agent_cases", no_search)
+        path = tmp_path / "ladder.json"
+        path.write_text(serialize_instance(ladder_instance(7)))
+        code, out, err = run(
+            capsys, "solve", str(path), "--objective", "sum", "--algorithm", "minsum-junctions"
+        )
+        assert code == 4
+        assert out == ""
+        assert "gamma = 7 exceeds the junction limit 6" in err
 
     def test_auto_route_refuses_items_past_the_search_depth(
         self, tmp_path, capsys, monkeypatch
@@ -676,17 +692,52 @@ BENCHMARK_RESPONSE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("workload", sorted(BENCHMARK_RESPONSE_DIGESTS))
-def test_benchmark_responses_are_pinned(workload, monkeypatch):
-    bench = Path(__file__).parents[1] / "perfbench"
-    monkeypatch.syspath_prepend(str(bench))
+def benchmark_prefix(workload, monkeypatch):
+    """The benchmark's `service` module, this library and the first 120
+    requests of the workload's seed-1 corpus."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
     service = importlib.import_module("service")
     workloads = importlib.import_module("workloads")
     lib = SimpleNamespace(
         **{m: importlib.import_module(f"prefalloc.{m}") for m in service.MODULES}
     )
     corpus, _ = workloads.build(lib, workload, 1)
+    return service, lib, corpus[:120]
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_RESPONSE_DIGESTS))
+def test_benchmark_responses_are_pinned(workload, monkeypatch):
+    service, lib, requests = benchmark_prefix(workload, monkeypatch)
     digest = hashlib.sha256()
-    for req in corpus[:120]:
+    for req in requests:
         digest.update(service.handle(lib, req).encode())
     assert digest.hexdigest() == BENCHMARK_RESPONSE_DIGESTS[workload]
+
+
+# Construction ledger: `PreferenceGraph` and `Instance` objects built while
+# `service.handle` serves the same 120-request prefixes.  Parsing builds one
+# graph per agent and one instance per request; on `oracle-gadgets`,
+# `reductions.witness_extract` rebuilds the gadget for each of the 80 "yes"
+# answers in the prefix, which adds 160 graphs and 80 instances.
+BENCHMARK_CONSTRUCTIONS = {
+    "tractable-large": {"PreferenceGraph": 820, "Instance": 120},
+    "junction-flow": {"PreferenceGraph": 720, "Instance": 120},
+    "oracle-gadgets": {"PreferenceGraph": 440, "Instance": 200},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_CONSTRUCTIONS))
+def test_benchmark_constructions_are_pinned(workload, monkeypatch):
+    service, lib, requests = benchmark_prefix(workload, monkeypatch)
+    built = dict.fromkeys(BENCHMARK_CONSTRUCTIONS[workload], 0)
+    for name in built:
+        cls = getattr(lib.core, name)
+
+        def counted(self, _name=name, _init=cls.__post_init__):
+            built[_name] += 1
+            _init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    for req in requests:
+        service.handle(lib, req)
+    assert built == BENCHMARK_CONSTRUCTIONS[workload]

@@ -28,7 +28,13 @@ from prefalloc.core import (
 )
 from prefalloc.reductions import parse_x3c
 
-from conftest import graph, instance
+from conftest import graph, instance, reachable
+
+
+def covered(g, bundle) -> set:
+    """The items `dominated_mask` marks as covered by the bundle."""
+    mask = g.dominated_mask(bundle)
+    return {v for i, v in enumerate(g.sorted_items) if mask >> i & 1}
 
 
 class TestPreferenceGraph:
@@ -46,21 +52,24 @@ class TestPreferenceGraph:
 
     def test_degrees_and_neighbors(self):
         g = graph("abcd", [("a", "b"), ("a", "c"), ("b", "d")])
-        assert g.out_degree("a") == 2
-        assert g.in_degree("d") == 1
-        assert g.out_neighbors("a") == ("b", "c")
-        assert g.in_neighbors("d") == ("b",)
+        a, b, c, d = (g.position[v] for v in "abcd")
+        assert g.outs[a] == (b, c)
+        assert g.ins[d] == (b,)
+        assert [len(hs) for hs in g.outs] == [2, 1, 0, 0]
+        assert [len(ts) for ts in g.ins] == [0, 1, 1, 1]
 
     def test_dominated_set_is_bundle_plus_descendants(self):
         g = graph("abcd", [("a", "b"), ("b", "c")])
-        assert g.dominated_set({"a"}) == {"a", "b", "c"}
-        assert g.dominated_set({"c", "d"}) == {"c", "d"}
-        assert g.dominated_set(set()) == set()
+        assert covered(g, {"a"}) == {"a", "b", "c"}
+        assert covered(g, {"c", "d"}) == {"c", "d"}
+        assert covered(g, set()) == set()
 
     def test_successors_exclude_the_vertex(self):
+        # reach[i] holds i itself; its strict successors are the rest
         g = graph("abc", [("a", "b"), ("b", "c")])
-        assert g.successors("a") == {"b", "c"}
-        assert g.successors("c") == set()
+        a, c = g.position["a"], g.position["c"]
+        assert g.reach[a] ^ 1 << a == 0b110
+        assert g.reach[c] ^ 1 << c == 0
 
 
 class TestInstance:
@@ -162,7 +171,7 @@ class TestDissatisfaction:
     def test_profile_tuple_follows_agent_order(self, worked):
         prof = profile(worked, Allocation.of({"2": {"b"}}))
         assert prof.agents == ("1", "2", "3")
-        assert prof.as_tuple() == (3, 0, 1)
+        assert prof.values == (3, 0, 1)
         assert prof["2"] == 0
 
 
@@ -343,20 +352,22 @@ def test_dominated_set_contains_bundle_and_is_monotone(g, data):
     verts = sorted(g.items)
     small = set(data.draw(st.lists(st.sampled_from(verts), unique=True)))
     extra = set(data.draw(st.lists(st.sampled_from(verts), unique=True)))
-    dom = g.dominated_set(small)
+    dom = covered(g, small)
     assert small <= dom
-    assert dom <= g.items
-    assert dom <= g.dominated_set(small | extra)
+    assert g.dominated_mask(small) >> len(verts) == 0
+    assert dom <= covered(g, small | extra)
 
 
 @settings(max_examples=80, deadline=None)
 @given(dags())
 def test_predecessors_are_the_items_that_reach(g):
-    """Also checks the sorted-position form against the arcs and successors."""
-    for v in g.items:
-        assert g.predecessors(v) == {u for u in g.items if u != v and v in g.successors(u)}
+    """Also checks the sorted-position form against the arcs and a plain
+    walk over them."""
+    for i, v in enumerate(g.sorted_items):
+        above = {u for u, r in zip(g.sorted_items, g.reach) if r >> i & 1}
+        assert above == {u for u in g.items if v in reachable(g, u)}
     with pytest.raises(PreconditionError):
-        g.predecessors("zz")
+        g.dominated_mask({"zz"})
     order = g.sorted_items
     assert order == tuple(sorted(g.items))
     assert dict(g.position) == {v: i for i, v in enumerate(order)}
@@ -367,7 +378,7 @@ def test_predecessors_are_the_items_that_reach(g):
     assert {(order[j], order[i]) for i, ts in enumerate(g.ins) for j in ts} == g.arcs
     assert len(g.reach) == len(order)
     for i, v in enumerate(order):
-        assert g.reach[i] == sum(1 << g.position[u] for u in g.successors(v) | {v})
+        assert g.reach[i] == sum(1 << g.position[u] for u in reachable(g, v))
 
 
 @settings(max_examples=80, deadline=None)

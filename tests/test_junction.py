@@ -8,8 +8,8 @@ import random
 import pytest
 
 from prefalloc import exact, junction, randgen
-from prefalloc.classify import junction_count
-from prefalloc.core import profile, serialize_instance, validate_allocation
+from prefalloc.classify import DEFAULT_GAMMA_LIMIT, junction_count
+from prefalloc.core import SizeGuardError, profile, serialize_instance, validate_allocation
 from prefalloc.junction import (
     _agent_cases,
     _bound,
@@ -21,7 +21,7 @@ from prefalloc.junction import (
 from prefalloc.kernels import max_profit_flow
 from prefalloc.polyalgos import _chain_network, minsum_disjoint_paths
 
-from conftest import graph, instance
+from conftest import graph, instance, ladder_instance
 
 
 def test_no_junctions_behaves_like_path_solver():
@@ -51,6 +51,22 @@ def test_fan_in_needs_all_parents():
     inst = instance({"x": g, "y": graph("c")})
     res = minsum_few_junctions(inst)
     assert res.value == exact.minimize(inst, "sum").value == 0
+
+
+def test_refuses_junctions_past_the_routing_limit(monkeypatch):
+    # Every item of a ladder is a junction.  The guard fires before any
+    # case is built; at the limit the search starts, and stops here.
+    class SearchStarted(Exception):
+        pass
+
+    def no_search(g):
+        raise SearchStarted
+
+    monkeypatch.setattr(junction, "_agent_cases", no_search)
+    with pytest.raises(SizeGuardError, match="^gamma = 7 exceeds the junction limit 6$"):
+        minsum_few_junctions(ladder_instance(DEFAULT_GAMMA_LIMIT + 1))
+    with pytest.raises(SearchStarted):
+        minsum_few_junctions(ladder_instance(DEFAULT_GAMMA_LIMIT))
 
 
 @pytest.mark.parametrize("seed", range(50))

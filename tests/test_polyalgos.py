@@ -429,7 +429,7 @@ def dense_chain_lbap(inst):
     cost = []
     for a in inst.agents:
         g = inst.graphs[a]
-        path = sorted(g.items, key=lambda v: -len(g.successors(v)))
+        path = sorted(g.items, key=lambda v: -g.reach[g.position[v]].bit_count())
         depth = {v: t for t, v in enumerate(path)}
         cost.append([depth.get(v, len(path)) for v in inst.items] + [len(path)] * inst.num_agents)
     return lbap(cost)[0]

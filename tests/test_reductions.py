@@ -334,7 +334,7 @@ class TestTwoPaths:
             g = inst.graphs[a]
             assert GraphClass.DISJOINT_PATHS in g.classes
             assert len(g.items) <= 5
-            assert sum(1 for v in g.items if g.in_degree(v) == 0) <= 2
+            assert sum(1 for ts in g.ins if not ts) <= 2
 
     def test_requires_distinct_variables(self):
         with pytest.raises(PreconditionError):
