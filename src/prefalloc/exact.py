@@ -16,7 +16,7 @@ vector among optimal allocations).
 the witness: a node is cut only when no completion from it scores below
 the incumbent, so every node on the first optimum's path, whose bound is
 no larger than the optimum and hence below every earlier incumbent,
-survives.  Three bounds cut, and a skip drops twin branches:
+survives.  Four bounds cut, and a skip drops twin branches:
 
 * Suffix-union bound.  From item j on, agent a can at best gain every
   item of the union of its reach masks over items j..n-1 that it does not
@@ -36,6 +36,30 @@ survives.  Three bounds cut, and a skip drops twin branches:
   larger, as a marginal gain only shrinks while its agent's mask grows
   further down; it costs a pass over the remaining items, so it is tried
   only when the other cuts fail, and the pass stops once G passes A.
+* Private-bit loss bound.  The gain bounds count what the agents can
+  still win, so they miss what two agents both need.  once[a][j] holds the
+  bits of agent a's suffix union that exactly one of items j..n-1 reaches;
+  a bit of it outside mask_a is won only if that item goes to a.  Item i
+  gives agent a p_ia = |reach_ia & once[a][j] & ~mask_a| such bits, and as
+  it goes to one agent at most, all desiring agents but one lose theirs:
+  together at least L(j) = sum over i >= j of (sum_a p_ia - max_a p_ia)
+  bits, each item's bits apart from every other's.  Agent a ends with at
+  least base_a = sizes_a - |mask_a | suffix[a][j]| plus the private bits
+  it loses, so a node is cut when L(j) exceeds a budget: under sum,
+  incumbent - 1 - sum_a base_a; under max, where every agent must end below
+  the incumbent, the sum over agents of incumbent - 1 - base_a.  L(j) costs
+  a pass over the remaining items, so it is tried last, and a pre-check
+  skips the pass when sum_a |P_a| - max_a |P_a|, with P_a = once[a][j] &
+  ~mask_a, is within the budget: L(j) is never larger, since every item's
+  max_a p_ia is at least its share of the largest |P_a|.  Without it, two
+  opposed 400-item chains, where no loss is forced, took 20 times longer.
+  Like the other bounds, it only cuts nodes no completion of which beats
+  the incumbent, so values and witnesses stay as they were.  Under sum the
+  leaf count stays too: G(n-1) is exact, so the older bounds already cut
+  every last-item node below a node this bound cuts, and with it every
+  leaf.  Under max G(n-1) misses two agents that both need the last item,
+  so leaves could fall; on the benchmark's traced requests they do not
+  (the counts are pinned in the tests), and only inner search nodes fall.
 * Zero-gain skip.  Giving item j to an agent that already reaches all of
   it leaves the search state exactly as in the "nobody" branch, which is
   searched first.  Every leaf of the skipped branch has an equal-valued
@@ -69,6 +93,7 @@ class OracleResult:
     value: int
     witness: Allocation
     leaves: int
+    nodes: int
 
 
 def search_space(inst: Instance) -> int:
@@ -95,12 +120,21 @@ def _effective_limit(limit: int | None) -> int:
     return value
 
 
+def _decimal(x: int) -> str:
+    """x in decimal or, past the interpreter's int-to-str digit limit, as the
+    power of two it reaches."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"at least 2**{x.bit_length() - 1}"
+
+
 def fits(inst: Instance, limit: int | None = None) -> tuple[bool, str]:
     """Whether the oracle searches inst, and why: the one size check that
     `_guard` enforces and `classify.dispatch` reports."""
     space, cap = search_space(inst), _effective_limit(limit)
     if space > cap:
-        return False, f"search space {space} exceeds limit {cap}"
+        return False, f"search space {_decimal(space)} exceeds limit {_decimal(cap)}"
     # The search recurses once per item; leave half the interpreter's
     # recursion limit to the caller's frames.
     depth = sys.getrecursionlimit() // 2
@@ -109,7 +143,7 @@ def fits(inst: Instance, limit: int | None = None) -> tuple[bool, str]:
             f"{len(inst.items)} items exceed the search depth {depth}, "
             "half the interpreter's recursion limit"
         )
-    return True, f"search space {space} within limit {cap}"
+    return True, f"search space {_decimal(space)} within limit {_decimal(cap)}"
 
 
 def _guard(inst: Instance, limit: int | None) -> None:
@@ -136,16 +170,22 @@ def _prepare(inst: Instance):
 
 def _suffix_bounds(
     reach: list[dict[int, int]], n: int, k: int
-) -> tuple[list[list[int]], list[int]]:
+) -> tuple[list[list[int]], list[list[int]], list[int]]:
     """suffix[ai][j], the union of agent ai's reach masks over items j..n-1,
+    once[ai][j], the bits of that union exactly one of those masks holds,
     and cap[j], the sum over those items of the largest reach mask desiring it."""
     suffix = [[0] * (n + 1) for _ in range(k)]
+    once = [[0] * (n + 1) for _ in range(k)]
+    twice = [0] * k
     cap = [0] * (n + 1)
     for j in range(n - 1, -1, -1):
         for ai in range(k):
-            suffix[ai][j] = suffix[ai][j + 1] | reach[j].get(ai, 0)
+            r = reach[j].get(ai, 0)
+            twice[ai] |= r & suffix[ai][j + 1]
+            suffix[ai][j] = union = suffix[ai][j + 1] | r
+            once[ai][j] = union & ~twice[ai]
         cap[j] = cap[j + 1] + max((r.bit_count() for r in reach[j].values()), default=0)
-    return suffix, cap
+    return suffix, once, cap
 
 
 def _to_allocation(inst: Instance, assign: list[int | None]) -> Allocation:
@@ -169,14 +209,14 @@ def minimize(
     items, agents, reach, sizes = _prepare(inst)
     n = len(items)
     k = len(agents)
-    suffix, cap = _suffix_bounds(reach, n, k)
+    suffix, once, cap = _suffix_bounds(reach, n, k)
 
     masks = [0] * k
     dissat = sizes[:]
     assign: list[int | None] = [None] * n
     best_value: int | None = None
     best_assign: list[int | None] | None = None
-    leaves = 0
+    leaves = nodes = 0
 
     def gain_at_most(j: int, allowance: int) -> bool:
         # True when G(j), the sum over items j..n-1 of the largest marginal
@@ -194,12 +234,35 @@ def minimize(
                 return False
         return True
 
+    def loss_above(j: int, budget: int) -> bool:
+        # True when L(j), the bits the agents must lose for certain, exceeds
+        # budget.  A bit of once[ai][j] & ~masks[ai] is still needed and only
+        # one remaining item reaches it, so an item gives each desiring agent
+        # p such bits and, going to one agent at most, costs the others theirs.
+        private = [once[ai][j] & ~masks[ai] for ai in range(k)]
+        counts = [p.bit_count() for p in private]
+        if sum(counts) - max(counts) <= budget:
+            return False  # L(j) is never larger
+        loss = 0
+        for i in range(j, n):
+            total = top = 0
+            for ai, r in reach[i].items():
+                p = (r & private[ai]).bit_count()
+                total += p
+                if p > top:
+                    top = p
+            loss += total - top
+            if loss > budget:
+                return True
+        return False
+
     def pruned(j: int) -> bool:
         # True when no completion from this node can beat the incumbent.
-        # Agent ai ends with at least sizes[ai] - |masks[ai] | suffix[ai][j]|
-        # dissatisfaction (dissat[ai] is sizes[ai] - |masks[ai]|).  To beat
-        # the incumbent the agents must together gain more than allowance,
-        # and they gain at most cap[j], and at most G(j).
+        # Agent ai ends with at least base = sizes[ai] - |masks[ai] |
+        # suffix[ai][j]| dissatisfaction (dissat[ai] is sizes[ai] -
+        # |masks[ai]|).  To beat the incumbent the agents must together gain
+        # more than allowance, and they gain at most cap[j], and at most
+        # G(j); they must also lose no more than budget bits beyond base.
         if objective == "sum":
             low = 0
             for ai in range(k):
@@ -207,20 +270,24 @@ def minimize(
             if low >= best_value:
                 return True
             allowance = sum(dissat) - best_value
+            budget = best_value - 1 - low
         else:
-            need = 0
+            need = budget = 0
             for ai in range(k):
-                if sizes[ai] - (masks[ai] | suffix[ai][j]).bit_count() >= best_value:
+                base = sizes[ai] - (masks[ai] | suffix[ai][j]).bit_count()
+                if base >= best_value:
                     return True
+                budget += best_value - 1 - base
                 if dissat[ai] >= best_value:
                     need += dissat[ai] - best_value + 1
             if need == 0:
                 return False
             allowance = need - 1
-        return cap[j] <= allowance or gain_at_most(j, allowance)
+        return cap[j] <= allowance or gain_at_most(j, allowance) or loss_above(j, budget)
 
     def dfs(j: int) -> None:
-        nonlocal best_value, best_assign, leaves
+        nonlocal best_value, best_assign, leaves, nodes
+        nodes += 1
         if j == n:
             leaves += 1
             value = sum(dissat) if objective == "sum" else (max(dissat) if k else 0)
@@ -247,7 +314,7 @@ def minimize(
 
     dfs(0)
     assert best_value is not None and best_assign is not None
-    return OracleResult(best_value, _to_allocation(inst, best_assign), leaves)
+    return OracleResult(best_value, _to_allocation(inst, best_assign), leaves, nodes)
 
 
 def all_profiles(inst: Instance, limit: int | None = None) -> frozenset[tuple[int, ...]]:

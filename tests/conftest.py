@@ -69,6 +69,15 @@ def ladder_instance(n: int) -> Instance:
     return instance({"x": graph(names, [*zip(names, names[1:]), *zip(names, names[2:])])})
 
 
+def short_paths_instance(n: int) -> Instance:
+    """Two agents sharing n items cut into 3-item paths (arcs i -> i+1 for
+    i mod 3 != 2).  No route takes path forests under max, so `dispatch`
+    sends them to the oracle, whose search space is 3**n."""
+    names = [f"i{k:05d}" for k in range(n)]
+    g = graph(names, [(names[k], names[k + 1]) for k in range(n - 1) if k % 3 != 2])
+    return instance({"x": g, "y": g})
+
+
 def brute_minimum(inst: Instance, objective: str) -> int:
     """Plain exhaustive minimum, by the ordered scan above."""
     return scan_first_optimum(inst, objective)[0]

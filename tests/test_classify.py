@@ -21,7 +21,14 @@ from prefalloc.classify import (
 )
 from prefalloc.core import ParseError, PreconditionError, PreferenceGraph
 
-from conftest import brute_minimum, graph, instance, ladder_instance, reachable
+from conftest import (
+    brute_minimum,
+    graph,
+    instance,
+    ladder_instance,
+    reachable,
+    short_paths_instance,
+)
 
 SINGLE = graph("a")
 ARC = graph("ab", [("a", "b")])
@@ -196,6 +203,13 @@ class TestDispatch:
         fits = ladder_instance(n - 1)
         assert dispatch(fits, objective, oracle_limit=2**n) == SolverChoice(
             "oracle", f"search space {2 ** (n - 1)} within limit {2**n}"
+        )
+
+    def test_search_space_past_the_digit_limit_is_refused(self):
+        # 3**12000 has more decimal digits than CPython turns into a string.
+        inst = short_paths_instance(12_000)
+        assert dispatch(inst, "max") == SolverChoice(
+            "oracle-too-large", "search space at least 2**19019 exceeds limit 10000000"
         )
 
     def test_unknown_objective(self):

@@ -17,7 +17,13 @@ from prefalloc.cli import main
 from prefalloc.core import serialize_instance
 from prefalloc.reductions import Cnf3Formula, X3CInstance
 
-from conftest import chain_instance, graph, instance, ladder_instance
+from conftest import (
+    chain_instance,
+    graph,
+    instance,
+    ladder_instance,
+    short_paths_instance,
+)
 
 WORKED = serialize_instance(
     instance({"1": graph("abc"), "2": graph("b"), "3": graph("c")})
@@ -135,6 +141,14 @@ class TestSolve:
         monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", "2")
         code, _, _ = run(capsys, "solve", worked_path, "--objective", "max")
         assert code == 4
+
+    def test_search_space_past_the_digit_limit_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "paths.json"
+        path.write_text(serialize_instance(short_paths_instance(12_000)))
+        code, out, err = run(capsys, "solve", str(path), "--objective", "max")
+        assert code == 4
+        assert out == ""
+        assert err == "error: search space at least 2**19019 exceeds limit 10000000\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,7 +1,10 @@
 """Exhaustive oracle: optimality, determinism, profile sets, size guard."""
 
 import importlib
+import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,7 +20,7 @@ from prefalloc.core import (
     validate_allocation,
 )
 from prefalloc.exact import all_profiles, decide, minimize, search_space
-from prefalloc import exact, randgen, reductions
+from prefalloc import classify, exact, randgen, reductions
 
 from conftest import (
     brute_minimum,
@@ -26,6 +29,7 @@ from conftest import (
     graph,
     instance,
     scan_first_optimum,
+    short_paths_instance,
 )
 
 
@@ -150,6 +154,30 @@ def test_minimize_matches_ordered_scan(seed):
         assert (res.value, res.witness) == scan_first_optimum(inst, objective)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_three_clause_gadget_witness_is_first_optimum_in_scan_order(seed):
+    """2-variable, 3-clause gadgets (3**9 leaves), as the benchmark serves,
+    under both objectives: contested items, where the loss bound cuts most."""
+    inst = _gadget(random.Random(600 + seed), 3)
+    for objective in ("sum", "max"):
+        res = minimize(inst, objective)
+        assert (res.value, res.witness) == scan_first_optimum(inst, objective)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_many_agent_dag_witness_is_first_optimum_in_scan_order(seed):
+    """General DAGs with 3-4 agents, where an item's loss falls on all but
+    one of several desiring agents."""
+    rng = random.Random(700 + seed)
+    while True:
+        inst = randgen.random_instance(rng, "dag", rng.randint(5, 8), rng.randint(3, 4))
+        if search_space(inst) <= _SCAN_BUDGET:
+            break
+    for objective in ("sum", "max"):
+        res = minimize(inst, objective)
+        assert (res.value, res.witness) == scan_first_optimum(inst, objective)
+
+
 def test_gadget_leaf_count_regression():
     # A satisfiable 3-variable, 3-clause gadget: 3^12 = 531441 leaves
     # unpruned.  Summing reach sizes as the bound visited 12816 of them
@@ -166,17 +194,19 @@ def test_gadget_leaf_count_regression():
     assert res.leaves <= 48
 
 
-@pytest.mark.parametrize(
-    "objective, expected", [("max", 3444), ("sum", 4335)], ids=["max", "sum"]
-)
-def test_benchmark_oracle_prefix_leaf_count(monkeypatch, objective, expected):
-    """Leaves summed over the first 120 requests of the seed-1 oracle-gadgets
-    corpus, the requests the benchmark's traced pass serves.  The corpus
-    asks for max; under max they were 20490 under the suffix-union bound,
-    9438 with the joint gain cap and 3444 with the dynamic joint gain
-    bound.  Under sum, which pins the sum allowance's cuts, they are 4335."""
-    bench = Path(__file__).parents[1] / "perfbench"
-    monkeypatch.syspath_prepend(str(bench))
+# Leaves and search nodes (`dfs` calls) of `minimize`, summed over the first
+# 120 requests of the seed-1 oracle-gadgets corpus, the requests the
+# benchmark's traced pass serves.  The corpus asks for max; sum pins the sum
+# budgets' cuts.  Under max the leaves were 20490 under the suffix-union
+# bound, 9438 with the joint gain cap and 3444 with the dynamic joint gain
+# bound; under sum they are 4335.  The private-bit loss bound cut the nodes
+# from 53188 to 21625 under max and from 69223 to 24741 under sum, and left
+# the leaves as they were.
+ORACLE_PREFIX_COUNTS = {"max": (3444, 21625), "sum": (4335, 24741)}
+
+
+def oracle_prefix_counts(objective: str) -> tuple[int, int]:
+    """(leaves, nodes) over the prefix above; `perfbench` must be importable."""
     service = importlib.import_module("service")
     workloads = importlib.import_module("workloads")
     lib = SimpleNamespace(
@@ -184,10 +214,65 @@ def test_benchmark_oracle_prefix_leaf_count(monkeypatch, objective, expected):
     )
     corpus, _ = workloads.build(lib, "oracle-gadgets", 1)
     assert {req.objective for req in corpus[:120]} == {"max"}
-    leaves = sum(
-        minimize(parse_instance(req.instance), objective).leaves for req in corpus[:120]
+    results = [minimize(parse_instance(req.instance), objective) for req in corpus[:120]]
+    return sum(r.leaves for r in results), sum(r.nodes for r in results)
+
+
+@pytest.mark.parametrize("objective", ["max", "sum"])
+def test_benchmark_oracle_prefix_leaf_count(monkeypatch, objective):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    assert oracle_prefix_counts(objective) == ORACLE_PREFIX_COUNTS[objective]
+
+
+def test_benchmark_oracle_prefix_counts_ignore_the_hash_seed():
+    """The pinned counts come out the same in fresh interpreters whatever
+    their string hash seed, so they stand as exact evidence."""
+    root = Path(__file__).parents[1]
+    path = os.pathsep.join(str(root / d) for d in ("src", "tests", "perfbench"))
+    code = (
+        "import json, test_exact; print(json.dumps("
+        "{o: test_exact.oracle_prefix_counts(o) for o in test_exact.ORACLE_PREFIX_COUNTS}))"
     )
-    assert leaves == expected
+    for seed in ("0", "7", "12345"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+        )
+        counts = {o: tuple(c) for o, c in json.loads(proc.stdout).items()}
+        assert counts == ORACLE_PREFIX_COUNTS, f"PYTHONHASHSEED={seed}"
+
+
+def test_loss_bound_cuts_a_shared_chain():
+    """Two agents share a 14-item chain plus the arc i00002 -> i00000.  Each
+    needs the top items, which only one of them can get, and no gain bound
+    sees that.  `dispatch` serves it with the oracle (3**14 leaves); before
+    the loss bound the search visited 2391490 nodes."""
+    names = [f"i{k:05d}" for k in range(14)]
+    g = graph(names, [*zip(names[1:], names), ("i00002", "i00000")])
+    inst = instance({"x": g, "y": g})
+    assert classify.dispatch(inst, "max").name == "oracle"
+    res = minimize(inst, "max")
+    assert res.value == 1
+    assert res.witness.get("x") == frozenset({"i00012"})
+    assert res.witness.get("y") == frozenset({"i00013"})
+    assert res.nodes <= 100
+
+
+@pytest.mark.parametrize("objective, nodes", [("sum", 1681), ("max", 1684)])
+def test_loss_bound_leaves_opposed_chains_alone(objective, nodes):
+    """Two 40-item chains in opposite directions: each agent's top item is
+    the other's bottom, so no loss is forced and the search visits exactly
+    the nodes it visited without the loss bound."""
+    names = [f"i{k:05d}" for k in range(40)]
+    inst = instance(
+        {"x": graph(names, zip(names[1:], names)), "y": graph(names, zip(names, names[1:]))}
+    )
+    res = minimize(inst, objective, limit=10**20)
+    assert res.value == 0
+    assert res.nodes == nodes
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -262,6 +347,20 @@ class TestSizeGuard:
             minimize(inst, "sum", limit=10**400)
         with pytest.raises(SizeGuardError, match=message):
             all_profiles(inst, limit=10**400)
+
+    def test_search_space_past_the_digit_limit_is_refused(self, monkeypatch):
+        # 3**12000 has more decimal digits than CPython turns into a string;
+        # the reason names a power of two instead of crashing.
+        def no_search(inst):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(exact, "_prepare", no_search)
+        message = (
+            r"^search space at least 2\*\*19019 exceeds limit 10000000; "
+            "raise it explicitly or via PREFALLOC_ORACLE_LIMIT$"
+        )
+        with pytest.raises(SizeGuardError, match=message):
+            minimize(short_paths_instance(12_000), "max")
 
     def test_search_depth_limit_is_reachable(self):
         # As many items as the guard allows search without RecursionError.
