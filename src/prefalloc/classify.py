@@ -118,20 +118,15 @@ ROUTES = (
 )
 
 
-def dispatch(
-    inst: Instance,
-    objective: str,
-    *,
-    oracle_limit: int | None = None,
-) -> SolverChoice:
+def dispatch(inst: Instance, objective: str) -> SolverChoice:
     """Pick the best solver for the instance shape and objective.
 
     Takes the first entry of `ROUTES` for the objective whose shape and
     agent count fit; in particular the max objective never routes path
     forests to the bottleneck-assignment solver (only single paths per
     agent are safe).  Falls back to the exhaustive oracle when
-    `exact.fits` takes the instance, else reports "oracle-too-large"
-    with that check's reason.
+    `exact.fits` takes the instance under the PREFALLOC_ORACLE_LIMIT
+    setting, else reports "oracle-too-large" with that check's reason.
     """
     from . import exact
 
@@ -147,5 +142,5 @@ def dispatch(
             return SolverChoice(
                 route.name, route.reason.format(gamma=gamma, gamma_limit=DEFAULT_GAMMA_LIMIT)
             )
-    ok, reason = exact.fits(inst, oracle_limit)
+    ok, reason = exact.fits(inst)
     return SolverChoice("oracle" if ok else "oracle-too-large", reason)

@@ -215,27 +215,23 @@ class PreferenceGraph:
 class Instance:
     """A pool of items plus one preference graph per agent.
 
-    `items` and `agents` are kept in sorted order; that order is the
-    canonical one used for serialization, witness tie-breaking and profile
-    coordinates.
+    The agents are the keys of `graphs`.  `items` and the derived `agents`
+    are kept in sorted order; that order is the canonical one used for
+    serialization, witness tie-breaking and profile coordinates.
     """
 
     items: tuple[ItemId, ...]
-    agents: tuple[AgentId, ...]
+    agents: tuple[AgentId, ...] = field(init=False)
     graphs: Mapping[AgentId, PreferenceGraph]
 
     def __post_init__(self):
         items = tuple(sorted(self.items))
-        agents = tuple(sorted(self.agents))
+        agents = tuple(sorted(self.graphs))
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "agents", agents)
         pool = set(items)
         if len(pool) != len(items):
             raise ParseError("duplicate item ids")
-        if len(set(agents)) != len(agents):
-            raise ParseError("duplicate agent ids")
-        if set(self.graphs) != set(agents):
-            raise ParseError("agent list and graph map disagree")
         desired = set()
         for a in agents:
             g = self.graphs[a]
@@ -265,7 +261,7 @@ class Instance:
         desired = set()
         for g in graphs.values():
             desired |= g.items
-        inst = cls(items & desired, tuple(graphs), dict(graphs))
+        inst = cls(items & desired, dict(graphs))
         dropped = items - desired
         if dropped and warn_dropped:  # only once the instance is valid
             warnings.warn(
@@ -296,11 +292,17 @@ _EMPTY: frozenset = frozenset()
 
 @dataclass(frozen=True)
 class Allocation:
-    """Disjoint bundles of items keyed by agent.  Missing agents hold nothing."""
+    """Disjoint bundles of items keyed by agent, at most one bundle per
+    agent.  Missing agents hold nothing."""
 
     pairs: tuple[tuple[AgentId, frozenset[ItemId]], ...]
 
     def __post_init__(self):
+        seen = set()
+        for a, _ in self.pairs:
+            if a in seen:
+                raise PreconditionError(f"agent {a!r} holds two bundles")
+            seen.add(a)
         canon = tuple(
             (a, frozenset(items))
             for a, items in sorted(self.pairs)

@@ -82,7 +82,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .core import Allocation, Instance, ParseError, SizeGuardError
+from .core import Allocation, Instance, ParseError, PreconditionError, SizeGuardError
 
 _LIMIT_ENV = "PREFALLOC_ORACLE_LIMIT"
 _DEFAULT_LIMIT = 10_000_000
@@ -105,9 +105,7 @@ def search_space(inst: Instance) -> int:
     return space
 
 
-def _effective_limit(limit: int | None) -> int:
-    if limit is not None:
-        return limit
+def _effective_limit() -> int:
     raw = os.environ.get(_LIMIT_ENV)
     if not raw:
         return _DEFAULT_LIMIT
@@ -129,10 +127,11 @@ def _decimal(x: int) -> str:
         return f"at least 2**{x.bit_length() - 1}"
 
 
-def fits(inst: Instance, limit: int | None = None) -> tuple[bool, str]:
-    """Whether the oracle searches inst, and why: the one size check that
-    `_guard` enforces and `classify.dispatch` reports."""
-    space, cap = search_space(inst), _effective_limit(limit)
+def fits(inst: Instance) -> tuple[bool, str]:
+    """Whether the oracle searches inst under the limit read from
+    PREFALLOC_ORACLE_LIMIT, and why: the one size check that `_guard`
+    enforces and `classify.dispatch` reports."""
+    space, cap = search_space(inst), _effective_limit()
     if space > cap:
         return False, f"search space {_decimal(space)} exceeds limit {_decimal(cap)}"
     # The search recurses once per item; leave half the interpreter's
@@ -146,11 +145,11 @@ def fits(inst: Instance, limit: int | None = None) -> tuple[bool, str]:
     return True, f"search space {_decimal(space)} within limit {_decimal(cap)}"
 
 
-def _guard(inst: Instance, limit: int | None) -> None:
-    ok, reason = fits(inst, limit)
+def _guard(inst: Instance) -> None:
+    ok, reason = fits(inst)
     if not ok:
         if reason.startswith("search space"):  # a larger limit would lift it
-            reason += f"; raise it explicitly or via {_LIMIT_ENV}"
+            reason += f"; raise it via {_LIMIT_ENV}"
         raise SizeGuardError(reason)
 
 
@@ -196,16 +195,14 @@ def _to_allocation(inst: Instance, assign: list[int | None]) -> Allocation:
     return Allocation.of(bundles)
 
 
-def minimize(
-    inst: Instance, objective: str = "sum", limit: int | None = None
-) -> OracleResult:
+def minimize(inst: Instance, objective: str = "sum") -> OracleResult:
     """Optimal allocation by branch and bound over all partial allocations.
 
     objective is "sum" (total dissatisfaction) or "max" (worst agent).
     """
     if objective not in ("sum", "max"):
-        raise ValueError(f"unknown objective {objective!r}")
-    _guard(inst, limit)
+        raise PreconditionError(f"unknown objective {objective!r}")
+    _guard(inst)
     items, agents, reach, sizes = _prepare(inst)
     n = len(items)
     k = len(agents)
@@ -317,9 +314,9 @@ def minimize(
     return OracleResult(best_value, _to_allocation(inst, best_assign), leaves, nodes)
 
 
-def all_profiles(inst: Instance, limit: int | None = None) -> frozenset[tuple[int, ...]]:
+def all_profiles(inst: Instance) -> frozenset[tuple[int, ...]]:
     """Every dissatisfaction profile any partial allocation can realize."""
-    _guard(inst, limit)
+    _guard(inst)
     items, agents, reach, sizes = _prepare(inst)
     n = len(items)
     k = len(agents)
@@ -348,14 +345,9 @@ def all_profiles(inst: Instance, limit: int | None = None) -> frozenset[tuple[in
     return frozenset(out)
 
 
-def decide(
-    inst: Instance,
-    objective: str,
-    threshold: int,
-    limit: int | None = None,
-) -> Allocation | None:
+def decide(inst: Instance, objective: str, threshold: int) -> Allocation | None:
     """Witness allocation with objective value at most `threshold`, if any."""
-    result = minimize(inst, objective, limit)
+    result = minimize(inst, objective)
     if result.value <= threshold:
         return result.witness
     return None

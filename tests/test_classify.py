@@ -181,27 +181,31 @@ class TestDispatch:
         assert junction_count(above) == DEFAULT_GAMMA_LIMIT + 1
         assert dispatch(above, "sum").name == "oracle"
 
-    def test_oracle_too_large(self):
+    def test_oracle_too_large(self, monkeypatch):
+        monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", "3")
         inst = instance({"x": DIAMOND, "y": DIAMOND})
-        choice = dispatch(inst, "max", oracle_limit=3)
+        choice = dispatch(inst, "max")
         assert choice.name == "oracle-too-large"
 
     @pytest.mark.parametrize("objective", ["sum", "max"])
-    def test_oracle_too_deep(self, objective):
+    def test_oracle_too_deep(self, objective, monkeypatch):
         # One item past half the recursion limit: the search space fits
         # the limit, but the oracle would refuse the search depth.
         n = sys.getrecursionlimit() // 2 + 1
         inst = ladder_instance(n)
-        assert dispatch(inst, objective, oracle_limit=2**n) == SolverChoice(
+        monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", str(2**n))
+        assert dispatch(inst, objective) == SolverChoice(
             "oracle-too-large",
             f"{n} items exceed the search depth {n - 1}, "
             "half the interpreter's recursion limit",
         )
-        assert dispatch(inst, objective, oracle_limit=2**n - 1) == SolverChoice(
+        monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", str(2**n - 1))
+        assert dispatch(inst, objective) == SolverChoice(
             "oracle-too-large", f"search space {2**n} exceeds limit {2**n - 1}"
         )
+        monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", str(2**n))
         fits = ladder_instance(n - 1)
-        assert dispatch(fits, objective, oracle_limit=2**n) == SolverChoice(
+        assert dispatch(fits, objective) == SolverChoice(
             "oracle", f"search space {2 ** (n - 1)} within limit {2**n}"
         )
 

@@ -696,6 +696,25 @@ def test_benchmark_names_exist_in_the_library(monkeypatch):
     assert missing == []
 
 
+def test_unused_imports_are_benchmark_wraps(monkeypatch):
+    """Every import `src/prefalloc` keeps only for the benchmark's tracer
+    (marked `noqa: F401`) is a name the tracer still wraps on that module."""
+    bench = Path(__file__).parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    tracing = importlib.import_module("tracing")
+    wrapped = {(mod, attr) for mod, attr, _, _ in tracing.WRAPS}
+    kept = {
+        (path.stem, name.strip())
+        for path in (Path(__file__).parents[1] / "src" / "prefalloc").glob("*.py")
+        for m in re.finditer(
+            r"^from \.\w+ import ([\w, ]+?)\s*# noqa: F401", path.read_text(), re.M
+        )
+        for name in m.group(1).split(",")
+    }
+    assert kept  # the pattern still finds the marked imports
+    assert sorted(kept - wrapped) == []
+
+
 # sha256 over the `service.handle` responses to the first 120 requests of
 # each workload's seed-1 corpus, the requests the benchmark's traced pass
 # serves.  Taken before graphs were stored in sorted-position form.
@@ -755,3 +774,27 @@ def test_benchmark_constructions_are_pinned(workload, monkeypatch):
     for req in requests:
         service.handle(lib, req)
     assert built == BENCHMARK_CONSTRUCTIONS[workload]
+
+
+# Junction ledger: the work of the junction route while `service.handle`
+# serves the same `junction-flow` prefix.  Each guess the agent product
+# forms is checked for two agents taking one junction (`_taken`); the
+# consistent ones are bounded (`_bound`), those whose bound can beat the
+# incumbent are evaluated (`_evaluate_guess`), and each evaluation here
+# runs one flow (`max_profit_flow`).
+JUNCTION_WORK = {"_taken": 2701, "_bound": 2660, "_evaluate_guess": 380, "max_profit_flow": 380}
+
+
+def test_benchmark_junction_work_is_pinned(monkeypatch):
+    service, lib, requests = benchmark_prefix("junction-flow", monkeypatch)
+    calls = dict.fromkeys(JUNCTION_WORK, 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _fn=getattr(lib.junction, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(lib.junction, name, counted)
+    for req in requests:
+        service.handle(lib, req)
+    assert calls == JUNCTION_WORK

@@ -73,17 +73,18 @@ class TestPreferenceGraph:
 
 
 class TestInstance:
-    def test_rejects_duplicate_agent_ids(self):
-        with pytest.raises(ParseError):
-            Instance(("a",), ("x", "x"), {"x": graph("a")})
-
     def test_rejects_graph_item_outside_pool(self):
         with pytest.raises(ParseError):
-            Instance(("a",), ("x",), {"x": graph("ab")})
+            Instance(("a",), {"x": graph("ab")})
 
     def test_rejects_undesired_items(self):
         with pytest.raises(ParseError):
-            Instance(("a", "b"), ("x",), {"x": graph("a")})
+            Instance(("a", "b"), {"x": graph("a")})
+
+    def test_agents_are_the_sorted_graph_keys(self):
+        inst = Instance(("b", "a"), {"y": graph("b"), "x": graph("a")})
+        assert inst.agents == ("x", "y")
+        assert inst.items == ("a", "b")
 
     def test_build_drops_undesired_with_warning(self):
         with pytest.warns(NormalizationWarning):
@@ -115,6 +116,13 @@ class TestAllocation:
         one = Allocation.of({"y": {"c"}, "x": {"b", "a"}})
         two = Allocation.of({"x": {"a", "b"}, "y": {"c"}})
         assert one == two
+
+    @pytest.mark.parametrize("second", [frozenset("y"), frozenset()])
+    def test_rejects_two_bundles_for_one_agent(self, second):
+        # profile, as_dict and assigned_items would each read such pairs
+        # differently, so none can be built.
+        with pytest.raises(PreconditionError, match="agent 'a' holds two bundles"):
+            Allocation((("a", frozenset("x")), ("a", second)))
 
 
 class TestValidation:

@@ -14,6 +14,7 @@ import pytest
 from prefalloc.core import (
     Instance,
     ParseError,
+    PreconditionError,
     SizeGuardError,
     parse_instance,
     profile,
@@ -262,7 +263,7 @@ def test_loss_bound_cuts_a_shared_chain():
 
 
 @pytest.mark.parametrize("objective, nodes", [("sum", 1681), ("max", 1684)])
-def test_loss_bound_leaves_opposed_chains_alone(objective, nodes):
+def test_loss_bound_leaves_opposed_chains_alone(objective, nodes, monkeypatch):
     """Two 40-item chains in opposite directions: each agent's top item is
     the other's bottom, so no loss is forced and the search visits exactly
     the nodes it visited without the loss bound."""
@@ -270,7 +271,8 @@ def test_loss_bound_leaves_opposed_chains_alone(objective, nodes):
     inst = instance(
         {"x": graph(names, zip(names[1:], names)), "y": graph(names, zip(names, names[1:]))}
     )
-    res = minimize(inst, objective, limit=10**20)
+    monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", str(10**20))
+    res = minimize(inst, objective)
     assert res.value == 0
     assert res.nodes == nodes
 
@@ -301,10 +303,12 @@ class TestSizeGuard:
         # item a: only agent 1; b: agents 1, 2; c: agents 1, 3
         assert search_space(worked) == 2 * 3 * 3
 
-    def test_minimize_refuses_over_limit(self, worked):
+    def test_minimize_refuses_over_limit(self, worked, monkeypatch):
+        monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", "17")
         with pytest.raises(SizeGuardError):
-            minimize(worked, "sum", limit=17)
-        assert minimize(worked, "sum", limit=18).value == 2
+            minimize(worked, "sum")
+        monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", "18")
+        assert minimize(worked, "sum").value == 2
 
     def test_env_var_controls_default(self, worked, monkeypatch):
         monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", "2")
@@ -330,9 +334,10 @@ class TestSizeGuard:
         with pytest.raises(SizeGuardError, match="exceeds limit 0"):
             minimize(worked, "sum")
 
-    def test_all_profiles_guarded_too(self, worked):
+    def test_all_profiles_guarded_too(self, worked, monkeypatch):
+        monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", "3")
         with pytest.raises(SizeGuardError):
-            all_profiles(worked, limit=3)
+            all_profiles(worked)
 
     def test_refuses_items_past_the_search_depth(self, monkeypatch):
         # The search recurses once per item, so 1100 items would end in
@@ -341,12 +346,13 @@ class TestSizeGuard:
             raise AssertionError("the search ran")
 
         monkeypatch.setattr(exact, "_prepare", no_search)
+        monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", str(10**400))
         inst = chain_instance(1100)
         message = f"1100 items exceed the search depth {sys.getrecursionlimit() // 2}"
         with pytest.raises(SizeGuardError, match=message):
-            minimize(inst, "sum", limit=10**400)
+            minimize(inst, "sum")
         with pytest.raises(SizeGuardError, match=message):
-            all_profiles(inst, limit=10**400)
+            all_profiles(inst)
 
     def test_search_space_past_the_digit_limit_is_refused(self, monkeypatch):
         # 3**12000 has more decimal digits than CPython turns into a string;
@@ -357,18 +363,21 @@ class TestSizeGuard:
         monkeypatch.setattr(exact, "_prepare", no_search)
         message = (
             r"^search space at least 2\*\*19019 exceeds limit 10000000; "
-            "raise it explicitly or via PREFALLOC_ORACLE_LIMIT$"
+            "raise it via PREFALLOC_ORACLE_LIMIT$"
         )
         with pytest.raises(SizeGuardError, match=message):
             minimize(short_paths_instance(12_000), "max")
 
-    def test_search_depth_limit_is_reachable(self):
+    def test_search_depth_limit_is_reachable(self, monkeypatch):
         # As many items as the guard allows search without RecursionError.
+        monkeypatch.setenv("PREFALLOC_ORACLE_LIMIT", str(10**400))
         inst = chain_instance(sys.getrecursionlimit() // 2)
         for objective in ("sum", "max"):
-            assert minimize(inst, objective, limit=10**400).value == 0
+            assert minimize(inst, objective).value == 0
 
 
 def test_unknown_objective_rejected(worked):
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="unknown objective 'median'"):
         minimize(worked, "median")
+    with pytest.raises(PreconditionError, match="unknown objective 'median'"):
+        decide(worked, "median", 1)
