@@ -92,15 +92,16 @@ class PreferenceGraph:
     """Immutable DAG of one agent's preferences.
 
     Construction stores the graph once, by sorted position: item i is
-    `sorted_items[i]` and `position[v]` is v's i; `outs[i]` and `ins[i]`
-    hold the positions of i's out- and in-neighbours in increasing order,
-    and `reach[i]` has bit j set when i reaches `sorted_items[j]`, i
-    itself included.  They are shared, so callers only read them: `exact`
-    reads the reach masks, `polyalgos` and `junction` the neighbour tuples
-    and masks, and `profile` goes through `dominated_mask`, which refuses
-    an unknown item.  The shape labels, `classes`, and the junction set,
-    `junctions`, are derived from the degrees on first read, so graphs
-    that are never classified never pay for them.
+    `sorted_items[i]` and `position[v]` is v's i; `outs[i]` holds the
+    positions of i's out-neighbours in increasing order, `indeg[i]` counts
+    i's in-neighbours, and `reach[i]` has bit j set when i reaches
+    `sorted_items[j]`, i itself included.  They are shared, so callers
+    only read them: `exact` reads the reach masks, `polyalgos` and
+    `junction` the degrees, neighbour tuples and masks, and `profile` goes
+    through `dominated_mask`, which refuses an unknown item.  The shape
+    labels, `classes`, and the junction set, `junctions`, are derived from
+    the degrees on first read, so graphs that are never classified never
+    pay for them.
     """
 
     items: frozenset[ItemId]
@@ -110,40 +111,40 @@ class PreferenceGraph:
     # The per-position tables are lists: as tuples they raised the
     # benchmark's peak RSS by 0.2-1.8 MB per workload.
     outs: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    ins: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    indeg: list[int] = field(init=False, repr=False, compare=False)
     reach: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         items = frozenset(self.items)
-        arcs = frozenset(tuple(a) for a in self.arcs)
+        arcs = frozenset(self.arcs)
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "arcs", arcs)
         order = tuple(sorted(items))
         position = {v: i for i, v in enumerate(order)}
         outs = [[] for _ in order]
-        ins = [[] for _ in order]
+        indeg = [0] * len(order)
         for tail, head in sorted(arcs):
             if tail == head:
                 raise ParseError(f"self-loop on item {tail!r}")
             if tail not in position or head not in position:
                 raise ParseError(f"arc ({tail!r}, {head!r}) uses an unknown item")
-            t, h = position[tail], position[head]
-            outs[t].append(h)
-            ins[h].append(t)
+            h = position[head]
+            outs[position[tail]].append(h)
+            indeg[h] += 1
         # Kahn's algorithm; leftovers mean a cycle.  Any topological order
         # gives the same closures, so a plain stack will do.
-        indeg = [len(ts) for ts in ins]
-        stack = [i for i, d in enumerate(indeg) if d == 0]
+        left = indeg[:]
+        stack = [i for i, d in enumerate(left) if d == 0]
         topo = []
         while stack:
             i = stack.pop()
             topo.append(i)
             for j in outs[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
+                left[j] -= 1
+                if left[j] == 0:
                     stack.append(j)
         if len(topo) != len(order):
-            stuck = [v for v, d in zip(order, indeg) if d > 0]
+            stuck = [v for v, d in zip(order, left) if d > 0]
             raise ParseError(f"graph is not acyclic (cycle through {stuck[:4]})")
         reach = [0] * len(order)
         for i in reversed(topo):
@@ -154,7 +155,7 @@ class PreferenceGraph:
         object.__setattr__(self, "sorted_items", order)
         object.__setattr__(self, "position", position)
         object.__setattr__(self, "outs", list(map(tuple, outs)))
-        object.__setattr__(self, "ins", list(map(tuple, ins)))
+        object.__setattr__(self, "indeg", indeg)
         object.__setattr__(self, "reach", reach)
 
     @cached_property
@@ -165,8 +166,7 @@ class PreferenceGraph:
         (vacuously) and nothing else; every other shape needs a vertex.
         """
         n, m = len(self.sorted_items), len(self.arcs)
-        ins = [len(ts) for ts in self.ins]
-        outs = [len(hs) for hs in self.outs]
+        ins, outs = self.indeg, [len(hs) for hs in self.outs]
         max_in, max_out = max(ins, default=0), max(outs, default=0)
         labels = {GraphClass.GENERAL_DAG}
         if all(i + o == 1 for i, o in zip(ins, outs)):
@@ -192,8 +192,8 @@ class PreferenceGraph:
         """Vertices with in-degree above one or out-degree above one."""
         return frozenset(
             v
-            for v, ts, hs in zip(self.sorted_items, self.ins, self.outs)
-            if len(ts) > 1 or len(hs) > 1
+            for v, d, hs in zip(self.sorted_items, self.indeg, self.outs)
+            if d > 1 or len(hs) > 1
         )
 
     def _at(self, v: ItemId) -> int:
@@ -217,31 +217,34 @@ class Instance:
 
     The agents are the keys of `graphs`.  `items` and the derived `agents`
     are kept in sorted order; that order is the canonical one used for
-    serialization, witness tie-breaking and profile coordinates.
+    serialization, witness tie-breaking and profile coordinates, and
+    `position[v]` is item v's index in `items`.
     """
 
     items: tuple[ItemId, ...]
     agents: tuple[AgentId, ...] = field(init=False)
     graphs: Mapping[AgentId, PreferenceGraph]
+    position: dict[ItemId, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         items = tuple(sorted(self.items))
         agents = tuple(sorted(self.graphs))
+        position = {v: i for i, v in enumerate(items)}
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "agents", agents)
-        pool = set(items)
-        if len(pool) != len(items):
+        object.__setattr__(self, "position", position)
+        if len(position) != len(items):
             raise ParseError("duplicate item ids")
         desired = set()
         for a in agents:
             g = self.graphs[a]
-            extra = g.items - pool
+            extra = g.items.difference(position)
             if extra:
                 raise ParseError(
                     f"agent {a!r} desires unknown items {sorted(extra)[:4]}"
                 )
             desired |= g.items
-        undesired = pool - desired
+        undesired = position.keys() - desired
         if undesired:
             raise ParseError(
                 f"items desired by no agent: {sorted(undesired)[:4]}; "
@@ -250,11 +253,7 @@ class Instance:
 
     @classmethod
     def build(
-        cls,
-        items: Iterable[ItemId],
-        graphs: Mapping[AgentId, PreferenceGraph],
-        *,
-        warn_dropped: bool = True,
+        cls, items: Iterable[ItemId], graphs: Mapping[AgentId, PreferenceGraph]
     ) -> "Instance":
         """Normalizing constructor: drops items no agent desires (with a warning)."""
         items = set(items)
@@ -263,7 +262,7 @@ class Instance:
             desired |= g.items
         inst = cls(items & desired, dict(graphs))
         dropped = items - desired
-        if dropped and warn_dropped:  # only once the instance is valid
+        if dropped:  # only once the instance is valid
             warnings.warn(
                 f"dropping {len(dropped)} item(s) desired by no agent: "
                 f"{sorted(dropped)[:6]}",
@@ -369,7 +368,6 @@ def validate_allocation(inst: Instance, alloc: Allocation) -> list[str]:
     disjoint, and each agent only holds items appearing in its own graph.
     """
     violations = []
-    pool = set(inst.items)
     seen: dict[ItemId, AgentId] = {}
     for agent, items in alloc.pairs:
         if agent not in inst.graphs:
@@ -377,7 +375,7 @@ def validate_allocation(inst: Instance, alloc: Allocation) -> list[str]:
             continue
         g = inst.graphs[agent]
         for v in sorted(items):
-            if v not in pool:
+            if v not in inst.position:
                 violations.append(f"unknown item {v!r} (agent {agent!r})")
             elif v not in g.items:
                 violations.append(
@@ -443,13 +441,16 @@ def _expect(cond: bool, message: str, location: str):
         raise ParseError(message, location)
 
 
-def _expect_unique(values: list, what: str, location: str):
-    if len(set(values)) != len(values):
+def _unique(values: list, what: str, location: str) -> frozenset:
+    """values as a frozenset, refusing any duplicate the set would merge."""
+    out = frozenset(values)
+    if len(out) != len(values):
         seen = set()
         for v in values:
             if v in seen:
                 raise ParseError(f"duplicate {what} {v!r}", location)
             seen.add(v)
+    return out
 
 
 def parse_instance(text: str | bytes) -> Instance:
@@ -471,7 +472,7 @@ def parse_instance(text: str | bytes) -> Instance:
     for i, v in enumerate(items):
         if not (isinstance(v, str) and v):
             raise ParseError("item ids must be non-empty strings", f"items[{i}]")
-    _expect_unique(items, "item id", "items")
+    items = _unique(items, "item id", "items")
     raw_agents = data["agents"]
     _expect(isinstance(raw_agents, list), '"agents" must be an array', "agents")
     graphs: dict[str, PreferenceGraph] = {}
@@ -487,7 +488,7 @@ def parse_instance(text: str | bytes) -> Instance:
         for j, v in enumerate(aitems):
             if not isinstance(v, str):
                 raise ParseError("item ids must be strings", f"{loc}.items[{j}]")
-        _expect_unique(aitems, "item", f"{loc}.items")
+        aitems = _unique(aitems, "item", f"{loc}.items")
         raw_arcs = entry.get("arcs", [])
         _expect(isinstance(raw_arcs, list), '"arcs" must be an array', f"{loc}.arcs")
         arcs = []
@@ -498,7 +499,7 @@ def parse_instance(text: str | bytes) -> Instance:
             if not (isinstance(tail, str) and isinstance(head, str)):
                 raise ParseError("arc ends must be strings", f"{loc}.arcs[{j}]")
             arcs.append((tail, head))
-        _expect_unique(arcs, "arc", f"{loc}.arcs")
+        arcs = _unique(arcs, "arc", f"{loc}.arcs")
         try:
             graphs[aid] = PreferenceGraph(aitems, arcs)
         except ParseError as e:
@@ -523,21 +524,20 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def parse_allocation(text: str | bytes) -> Allocation:
-    """Parse {"allocation": {agent: [items]}}; `validate_allocation` checks it."""
+    """Parse {"allocation": {agent: [items]}}, refusing an item repeated in
+    one bundle; `validate_allocation` checks the rest."""
     data = load_json(text)
     _expect(isinstance(data, dict), "top level must be an object", "$")
     _expect("allocation" in data, 'missing "allocation"', "$")
     body = data["allocation"]
     _expect(isinstance(body, dict), '"allocation" must be an object', "allocation")
-    out: dict[str, set[str]] = {}
+    out: dict[str, frozenset[str]] = {}
     for agent, raw in body.items():
         loc = f"allocation.{agent}"
         _expect(isinstance(raw, list), "bundles must be arrays", loc)
-        bundle = set()
         for j, v in enumerate(raw):
             _expect(isinstance(v, str), "item ids must be strings", f"{loc}[{j}]")
-            bundle.add(v)
-        out[agent] = bundle
+        out[agent] = _unique(raw, "item", loc)
     return Allocation.of(out)
 
 

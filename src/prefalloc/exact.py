@@ -157,7 +157,7 @@ def _prepare(inst: Instance):
     items = inst.items
     agents = inst.agents
     # Per item: desiring agent index -> reach mask, filled in agent order.
-    at = {v: j for j, v in enumerate(items)}
+    at = inst.position
     reach: list[dict[int, int]] = [{} for _ in items]
     for ai, a in enumerate(agents):
         g = inst.graphs[a]

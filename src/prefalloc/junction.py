@@ -59,7 +59,7 @@ from .classify import DEFAULT_GAMMA_LIMIT, junction_count
 from .core import Allocation, Instance, SizeGuardError
 from .core import profile  # noqa: F401  perfbench/tracing.py wraps it by name
 from .kernels import max_profit_flow
-from .polyalgos import Chain, SolveResult, _chain_network, _chains
+from .polyalgos import SolveResult, _chain_network, _chains, _gains
 
 
 class _Case(NamedTuple):
@@ -67,11 +67,10 @@ class _Case(NamedTuple):
 
     taken: list[str]  # junctions the agent receives (case 1), sorted
     sat: int  # items covered by its case-1 and case-2 junctions
-    chains: list[Chain]  # open chains: every end the guess allows
     # Per keepable pair pick: each open chain's flow group (None: straight
     # to the sink) and the group count.
     exits: list[tuple[list[int | None], int]]
-    rows: list[list[tuple[str, int]]]  # per open chain, (item, gain m - t) by depth t
+    rows: list[list[tuple[str, int]]]  # per open chain (ends the case allows): (item, gain)
 
 
 def minsum_few_junctions(inst: Instance) -> SolveResult:
@@ -95,10 +94,12 @@ def minsum_few_junctions(inst: Instance) -> SolveResult:
         taken = _taken(guess)
         if taken is None:
             continue
-        bound = _bound(guess, taken)
+        # Every open chain's row without the junctions the guess hands out.
+        rows = [[(x, gx) for x, gx in full if x not in taken] for c in combo for full in c.rows]
+        bound = _bound(guess, rows)
         if bound <= best_sat:
             continue
-        result = _evaluate_guess(guess, taken, bound)
+        result = _evaluate_guess(guess, taken, rows, bound)
         if result is not None and result[0] > best_sat:
             best_sat, best = result
     assert best is not None  # the all-4 guess is always feasible
@@ -158,16 +159,12 @@ def _agent_cases(g) -> list[_Case]:
                 exits.append(([k.get((ch.start, ch.end)) for ch in open_chains], len(groups)))
         if not exits:
             continue
-        rows = [
-            [(x, len(ch.items) - t) for t, x in enumerate(ch.items)] for ch in open_chains
-        ]
         out.append(
             _Case(
                 sorted(taken),
                 g.dominated_mask(covered).bit_count(),
-                open_chains,
                 exits,
-                rows,
+                [_gains(ch.items) for ch in open_chains],
             )
         )
     return out
@@ -184,14 +181,9 @@ def _taken(guess: dict[str, _Case]) -> dict[str, str] | None:
     return taken
 
 
-def _bound(guess: dict[str, _Case], taken: dict[str, str]) -> int:
-    """Upper bound on the claimed satisfaction of every flow of the guess."""
-    rows = [
-        row
-        for c in guess.values()
-        for full in c.rows
-        if (row := [(x, gx) for x, gx in full if x not in taken])
-    ]
+def _bound(guess: dict[str, _Case], rows: list[list[tuple[str, int]]]) -> int:
+    """Upper bound on the claimed satisfaction of every flow of the guess,
+    whose open chains' rows, less the taken junctions, are `rows`."""
     best: dict[str, int] = {}  # item -> its best gain on an open chain
     second: dict[str, int] = {}  # item -> its second-best gain, 0 on one chain
     for row in rows:
@@ -216,17 +208,17 @@ def _bound(guess: dict[str, _Case], taken: dict[str, str]) -> int:
         for x, gx in row:
             if gx - qc > p.get(x, 0):
                 p[x] = gx - qc
-    by_chain = sum(row[0][1] for row in rows)
+    by_chain = sum(row[0][1] for row in rows if row)
     by_price = sum(q) + sum(p.values())
     fixed = sum(c.sat for c in guess.values())
     return fixed + min(by_chain, by_price)
 
 
-def _evaluate_guess(guess, taken, bound):
+def _evaluate_guess(guess, taken, rows, bound):
     """Best claimed satisfaction and bundles under one guess, or None if infeasible."""
     best = None
     for picks in itertools.product(*(c.exits for c in guess.values())):
-        got = _solve_flow(guess, taken, picks)
+        got = _solve_flow(guess, taken, rows, picks)
         if got is not None and (best is None or got[0] > best[0]):
             best = got
             if best[0] >= bound:
@@ -234,17 +226,20 @@ def _evaluate_guess(guess, taken, bound):
     return best
 
 
-def _solve_flow(guess, taken, picks):
+def _solve_flow(guess, taken, rows, picks):
     """Claimed satisfaction and bundles for one guess and one stored pick per agent."""
     # The network is a DAG, as max_profit_flow requires: s -> item ->
     # chain node -> group -> t, or straight from the chain node to t.
-    # Each group must hand out at least one item.
-    rows = [
-        (a, ch.items, "t" if k is None else ("g", a, k))
-        for (a, c), (groups, _) in zip(guess.items(), picks)
-        for ch, k in zip(c.chains, groups)
-    ]
-    arcs, tags = _chain_network(rows, taken)
+    # Each group must hand out at least one item.  rows run over the
+    # agents' open chains in guess order, as do the picks' groups.
+    open_rows = iter(rows)
+    arcs, tags = _chain_network(
+        [
+            (a, next(open_rows), "t" if k is None else ("g", a, k))
+            for a, (groups, _) in zip(guess, picks)
+            for k in groups
+        ]
+    )
     arcs += [
         (("g", a, k), "t", 1, None, 0)
         for a, (_, count) in zip(guess, picks)

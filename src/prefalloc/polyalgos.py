@@ -90,33 +90,35 @@ def _chains(g) -> list[Chain]:
         return Chain(start, [order[i] for i in path], order[heads[0]] if heads else None)
 
     chains = [walk(w, order[u]) for u in sorted(juncs) for w in outs[u] if w not in juncs]
-    chains += [walk(i, None) for i, tails in enumerate(g.ins) if not tails and i not in juncs]
+    chains += [walk(i, None) for i, d in enumerate(g.indeg) if not d and i not in juncs]
     return chains
 
 
-def _chain_network(rows, taken) -> tuple[list[tuple], list[tuple[str, str] | None]]:
+def _gains(items: list[str]) -> list[tuple[str, int]]:
+    """(item, gain) along a chain: the item at depth t satisfies the m - t items from it on."""
+    return [(x, len(items) - t) for t, x in enumerate(items)]
+
+
+def _chain_network(rows) -> tuple[list[tuple], list[tuple[str, str] | None]]:
     """Arcs s -> item -> row node -> exit for `max_profit_flow`, and their tags.
 
-    rows are (agent, chain items, exit node); items in `taken` are left
-    out.  An item at depth t of an m-item chain earns m - t on its arc to
-    the row node, and each row node has one capacity-1 arc to its exit,
-    so a row hands out at most one item.  tags[k] is (agent, item) for an
-    item -> row arc, else None.  Arc order decides ties between equally
-    profitable flows: each row's item arcs by depth, then its exit arc,
-    rows in the given order, then the s -> item arcs in descending item
-    order.
+    rows are (agent, [(item, gain)], exit node).  An item earns its gain
+    on its arc to the row node, and each row node has one capacity-1 arc
+    to its exit, so a row hands out at most one item.  tags[k] is
+    (agent, item) for an item -> row arc, else None.  Arc order decides
+    ties between equally profitable flows: each row's item arcs in row
+    order, then its exit arc, rows in the given order, then the s -> item
+    arcs in descending item order.
     """
     arcs: list[tuple] = []
     tags: list[tuple[str, str] | None] = []
     item_nodes: set[str] = set()
-    for r, (a, items, exit_node) in enumerate(rows):
+    for r, (a, row, exit_node) in enumerate(rows):
         node = ("r", r)
-        m = len(items)
-        for t, x in enumerate(items):
-            if x not in taken:
-                item_nodes.add(x)
-                arcs.append((("i", x), node, 0, 1, m - t))
-                tags.append((a, x))
+        for x, gain in row:
+            item_nodes.add(x)
+            arcs.append((("i", x), node, 0, 1, gain))
+            tags.append((a, x))
         arcs.append((node, exit_node, 0, 1, 0))
         tags.append(None)
     for x in sorted(item_nodes, reverse=True):
@@ -126,14 +128,14 @@ def _chain_network(rows, taken) -> tuple[list[tuple], list[tuple[str, str] | Non
 
 
 def _minsum_chains(inst: Instance) -> SolveResult:
-    rows = [(a, ch.items, "t") for a in inst.agents for ch in _chains(inst.graphs[a])]
-    arcs, tags = _chain_network(rows, ())
+    rows = [(a, _gains(ch.items), "t") for a in inst.agents for ch in _chains(inst.graphs[a])]
+    arcs, tags = _chain_network(rows)
     _, prof, flows = max_profit_flow(arcs, "s", "t")
     bundles: dict[str, set[str]] = {}
     for tag, flow in zip(tags, flows):
         if tag is not None and flow:
             bundles.setdefault(tag[0], set()).add(tag[1])
-    size = sum(len(items) for _, items, _ in rows)
+    size = sum(len(row) for _, row, _ in rows)
     return SolveResult(size - prof, Allocation.of(bundles))
 
 
@@ -168,8 +170,8 @@ def minmax_paths(inst: Instance) -> SolveResult:
     the least feasible d, the value, and its matching is the witness.
     """
     _require(inst, GraphClass.PATH)
-    index = {v: j for j, v in enumerate(inst.items)}
-    paths = [(a, [index[v] for v in _chains(inst.graphs[a])[0].items]) for a in inst.agents]
+    at = inst.position
+    paths = [(a, [at[v] for v in _chains(inst.graphs[a])[0].items]) for a in inst.agents]
 
     def attempt(d: int) -> dict[str, set[str]] | None:
         rows = [(a, path[: d + 1]) for a, path in paths if len(path) > d]
@@ -218,7 +220,7 @@ def preassign_two_star_forests(inst: Instance) -> Allocation:
         mine, theirs = g[agent], g[other]
         for i, v in enumerate(mine.sorted_items):
             j = theirs.position.get(v)
-            if j is not None and not mine.ins[i] and len(theirs.ins[j]) == 1:
+            if j is not None and not mine.indeg[i] and theirs.indeg[j] == 1:
                 assigned.setdefault(v, agent)
                 for u in mine.outs[i]:
                     leaf = mine.sorted_items[u]
@@ -259,7 +261,7 @@ def minsum_two_star_forests(inst: Instance) -> SolveResult:
             continue
         # Remaining items sit in both graphs, as roots of both or leaves
         # of both; that split is what makes the conflict graph two-sided.
-        if g[a1].ins[g[a1].position[v]]:  # a leaf: agent 2's copy on side A
+        if g[a1].indeg[g[a1].position[v]]:  # a leaf: agent 2's copy on side A
             side_b[(v, a1)] = weight(v, a1)
             side_a[(v, a2)] = weight(v, a2)
             edges.append(((v, a2), (v, a1)))

@@ -500,7 +500,7 @@ def gen_minmax_two_paths_sat(formula: Cnf3Formula) -> tuple[Instance, int]:
     assert inst.num_items == 3 + 3 * n * m
     for g in inst.graphs.values():
         assert GraphClass.DISJOINT_PATHS in g.classes and len(g.items) <= 5
-        assert sum(1 for ts in g.ins if not ts) <= 2
+        assert g.indeg.count(0) <= 2
     return inst, 2
 
 

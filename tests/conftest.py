@@ -27,7 +27,7 @@ def instance(graphs: dict) -> Instance:
     pool = set()
     for g in graphs.values():
         pool |= g.items
-    return Instance.build(pool, graphs, warn_dropped=False)
+    return Instance.build(pool, graphs)
 
 
 def scan_first_optimum(inst: Instance, objective: str) -> tuple[int, Allocation]:

@@ -1,0 +1,43 @@
+"""Print the pinned work-count tables of this checkout as JSON.
+
+    python tests/ledger.py [TABLE ...]
+
+TABLE is any of constructions, junction_work, chain_flows and oracle
+(all four by default).  Each table is counted by the helper behind its
+tier-1 pin, over the first 120 requests of the benchmark's seed-1
+corpora, so the output of two checkouts can be compared line by line.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+
+import test_cli  # noqa: E402
+import test_exact  # noqa: E402
+
+TABLES = {
+    "constructions": lambda: {
+        w: test_cli.constructions(w) for w in sorted(test_cli.BENCHMARK_CONSTRUCTIONS)
+    },
+    "junction_work": test_cli.junction_work,
+    "chain_flows": test_cli.chain_flows,
+    "oracle": lambda: {
+        o: test_exact.oracle_prefix_counts(o) for o in sorted(test_exact.ORACLE_PREFIX_COUNTS)
+    },
+}
+
+
+def main(names: list[str]) -> int:
+    unknown = [n for n in names if n not in TABLES]
+    if unknown:
+        print(f"unknown table(s) {unknown}; expected some of {list(TABLES)}", file=sys.stderr)
+        return 2
+    print(json.dumps({n: TABLES[n]() for n in names or TABLES}, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

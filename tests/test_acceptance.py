@@ -416,7 +416,8 @@ def test_criterion_09_generated_instances_pass_class_checks():
             good += all(
                 GraphClass.DISJOINT_PATHS in inst.graphs[a].classes
                 and len(inst.graphs[a].items) <= 5
-                and sum(1 for ts in inst.graphs[a].ins if not ts) <= 2
+                and len(inst.graphs[a].items - {h for _, h in inst.graphs[a].arcs}) <= 2
+                and inst.graphs[a].indeg.count(0) <= 2
                 for a in inst.agents
             )
     report(9, f"generated instances pass their advertised class checks "

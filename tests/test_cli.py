@@ -3,16 +3,18 @@
 import hashlib
 import importlib
 import json
+import os
 import random
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from prefalloc import classify, exact, junction, randgen, reductions
+from prefalloc import classify, core, exact, junction, kernels, polyalgos, randgen, reductions
 from prefalloc.cli import main
 from prefalloc.core import serialize_instance
 from prefalloc.reductions import Cnf3Formula, X3CInstance
@@ -24,6 +26,8 @@ from conftest import (
     ladder_instance,
     short_paths_instance,
 )
+
+BENCH = Path(__file__).parents[1] / "perfbench"
 
 WORKED = serialize_instance(
     instance({"1": graph("abc"), "2": graph("b"), "3": graph("c")})
@@ -335,6 +339,13 @@ class TestEval:
         code, _, err = run(capsys, "eval", worked_path, str(alloc))
         assert code == 2
         assert "both" in err
+
+    def test_repeated_item_rejected(self, worked_path, tmp_path, capsys):
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text('{"allocation": {"2": ["b", "b"]}}')
+        code, out, err = run(capsys, "eval", worked_path, str(alloc))
+        assert code == 2 and out == ""
+        assert err == "error: bad allocation: duplicate item 'b' (at allocation.2)\n"
 
     def test_undesired_item_rejected(self, worked_path, tmp_path, capsys):
         alloc = tmp_path / "alloc.json"
@@ -652,7 +663,7 @@ class TestRouteTable:
 
 def test_route_table_matches_benchmark_service():
     """The benchmark keeps its own route map; it must name the same solvers."""
-    service = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "service.py"))
+    service = runpy.run_path(str(BENCH / "service.py"))
     routes = {route.name: route.solver for route in classify.ROUTES}
     routes["oracle"] = ("exact", "minimize")
     assert routes == service["SOLVERS"]
@@ -677,12 +688,11 @@ BENCHMARK_CALLS = {
 
 def test_benchmark_names_exist_in_the_library(monkeypatch):
     """Every name the benchmark wraps or calls is still on its module."""
-    bench = Path(__file__).parents[1] / "perfbench"
-    monkeypatch.syspath_prepend(str(bench))
+    monkeypatch.syspath_prepend(str(BENCH))
     tracing = importlib.import_module("tracing")
     called = {
         (m.group(1), m.group(2))
-        for path in bench.glob("*.py")
+        for path in BENCH.glob("*.py")
         for m in re.finditer(r"\blib\.(\w+)\.(\w+)", path.read_text())
     }
     assert BENCHMARK_CALLS <= called
@@ -699,8 +709,7 @@ def test_benchmark_names_exist_in_the_library(monkeypatch):
 def test_unused_imports_are_benchmark_wraps(monkeypatch):
     """Every import `src/prefalloc` keeps only for the benchmark's tracer
     (marked `noqa: F401`) is a name the tracer still wraps on that module."""
-    bench = Path(__file__).parents[1] / "perfbench"
-    monkeypatch.syspath_prepend(str(bench))
+    monkeypatch.syspath_prepend(str(BENCH))
     tracing = importlib.import_module("tracing")
     wrapped = {(mod, attr) for mod, attr, _, _ in tracing.WRAPS}
     kept = {
@@ -725,10 +734,9 @@ BENCHMARK_RESPONSE_DIGESTS = {
 }
 
 
-def benchmark_prefix(workload, monkeypatch):
+def prefix_requests(workload):
     """The benchmark's `service` module, this library and the first 120
-    requests of the workload's seed-1 corpus."""
-    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    requests of the workload's seed-1 corpus; `perfbench` must be importable."""
     service = importlib.import_module("service")
     workloads = importlib.import_module("workloads")
     lib = SimpleNamespace(
@@ -736,6 +744,44 @@ def benchmark_prefix(workload, monkeypatch):
     )
     corpus, _ = workloads.build(lib, workload, 1)
     return service, lib, corpus[:120]
+
+
+def benchmark_prefix(workload, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return prefix_requests(workload)
+
+
+def serve_counting(workload, hooks):
+    """Serve the workload's prefix with hook(*args) run before every call of
+    owner.name, for each (owner, name, hook) in `hooks`; the originals are
+    put back afterwards."""
+    service, lib, requests = prefix_requests(workload)
+    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in hooks]
+
+    def hooked(fn, hook):
+        def call(*args, **kwargs):
+            hook(*args, **kwargs)
+            return fn(*args, **kwargs)
+
+        return call
+
+    try:
+        for (owner, name, fn), (_, _, hook) in zip(originals, hooks):
+            setattr(owner, name, hooked(fn, hook))
+        for req in requests:
+            service.handle(lib, req)
+    finally:
+        for owner, name, fn in originals:
+            setattr(owner, name, fn)
+
+
+def tally(counts, key):
+    """A hook that counts its calls under counts[key]."""
+
+    def hook(*_):
+        counts[key] += 1
+
+    return hook
 
 
 @pytest.mark.parametrize("workload", sorted(BENCHMARK_RESPONSE_DIGESTS))
@@ -759,21 +805,17 @@ BENCHMARK_CONSTRUCTIONS = {
 }
 
 
+def constructions(workload) -> dict[str, int]:
+    built = dict.fromkeys(("PreferenceGraph", "Instance"), 0)
+    hooks = [(getattr(core, n), "__post_init__", tally(built, n)) for n in built]
+    serve_counting(workload, hooks)
+    return built
+
+
 @pytest.mark.parametrize("workload", sorted(BENCHMARK_CONSTRUCTIONS))
 def test_benchmark_constructions_are_pinned(workload, monkeypatch):
-    service, lib, requests = benchmark_prefix(workload, monkeypatch)
-    built = dict.fromkeys(BENCHMARK_CONSTRUCTIONS[workload], 0)
-    for name in built:
-        cls = getattr(lib.core, name)
-
-        def counted(self, _name=name, _init=cls.__post_init__):
-            built[_name] += 1
-            _init(self)
-
-        monkeypatch.setattr(cls, "__post_init__", counted)
-    for req in requests:
-        service.handle(lib, req)
-    assert built == BENCHMARK_CONSTRUCTIONS[workload]
+    monkeypatch.syspath_prepend(str(BENCH))
+    assert constructions(workload) == BENCHMARK_CONSTRUCTIONS[workload]
 
 
 # Junction ledger: the work of the junction route while `service.handle`
@@ -781,20 +823,97 @@ def test_benchmark_constructions_are_pinned(workload, monkeypatch):
 # forms is checked for two agents taking one junction (`_taken`); the
 # consistent ones are bounded (`_bound`), those whose bound can beat the
 # incumbent are evaluated (`_evaluate_guess`), and each evaluation here
-# runs one flow (`max_profit_flow`).
-JUNCTION_WORK = {"_taken": 2701, "_bound": 2660, "_evaluate_guess": 380, "max_profit_flow": 380}
+# runs one flow (`max_profit_flow`) on a network of `flow_arcs` arcs in all.
+JUNCTION_WORK = {
+    "_taken": 2701,
+    "_bound": 2660,
+    "_evaluate_guess": 380,
+    "max_profit_flow": 380,
+    "flow_arcs": 18981,
+}
+
+
+def junction_work() -> dict[str, int]:
+    counts = dict.fromkeys(JUNCTION_WORK, 0)
+
+    def flow(arcs, *_):
+        counts["max_profit_flow"] += 1
+        counts["flow_arcs"] += len(arcs)
+
+    hooks = [(junction, n, tally(counts, n)) for n in ("_taken", "_bound", "_evaluate_guess")]
+    serve_counting("junction-flow", [*hooks, (junction, "max_profit_flow", flow)])
+    return counts
 
 
 def test_benchmark_junction_work_is_pinned(monkeypatch):
-    service, lib, requests = benchmark_prefix("junction-flow", monkeypatch)
-    calls = dict.fromkeys(JUNCTION_WORK, 0)
-    for name in calls:
+    monkeypatch.syspath_prepend(str(BENCH))
+    assert junction_work() == JUNCTION_WORK
 
-        def counted(*args, _name=name, _fn=getattr(lib.junction, name)):
-            calls[_name] += 1
-            return _fn(*args)
 
-        monkeypatch.setattr(lib.junction, name, counted)
-    for req in requests:
-        service.handle(lib, req)
-    assert calls == JUNCTION_WORK
+# Chain-flow ledger: the max-profit flows each route runs while
+# `service.handle` serves the `tractable-large` prefix (20 requests per
+# route), with the arcs of their networks.  The three path-forest routes
+# run one chain network each (`polyalgos.max_profit_flow`); the star-forest
+# route runs one min cut (`kernels.max_profit_flow`, under
+# `bipartite_mwis`).  The two min-max routes run no flow.
+CHAIN_FLOWS = {
+    "minsum-matchings": {"calls": 20, "arcs": 1631},
+    "minsum-paths": {"calls": 20, "arcs": 4940},
+    "minsum-disjoint-paths": {"calls": 20, "arcs": 3418},
+    "minsum-two-star-forests": {"calls": 20, "arcs": 857},
+}
+
+
+def chain_flows() -> dict[str, dict[str, int]]:
+    counts: dict[str, dict[str, int]] = {}
+    route = None
+
+    def enter(name):
+        def hook(*_):
+            nonlocal route
+            route = name
+
+        return hook
+
+    def flow(arcs, *_):
+        c = counts.setdefault(route, {"calls": 0, "arcs": 0})
+        c["calls"] += 1
+        c["arcs"] += len(arcs)
+
+    hooks = [
+        (importlib.import_module(f"prefalloc.{r.solver[0]}"), r.solver[1], enter(r.name))
+        for r in classify.ROUTES
+    ]
+    hooks += [(polyalgos, "max_profit_flow", flow), (kernels, "max_profit_flow", flow)]
+    serve_counting("tractable-large", hooks)
+    return counts
+
+
+def test_benchmark_chain_flows_are_pinned(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    assert chain_flows() == CHAIN_FLOWS
+
+
+def test_benchmark_flow_counts_ignore_the_hash_seed():
+    """`tests/ledger.py` counts the junction and chain-flow tables in fresh
+    interpreters the same whatever their string hash seed, so the pins
+    stand as exact evidence."""
+    ledger = Path(__file__).parent / "ledger.py"
+    procs = {
+        seed: subprocess.Popen(
+            [sys.executable, str(ledger), "junction_work", "chain_flows"],
+            stdout=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        for seed in ("0", "7", "12345")
+    }
+    want = {"junction_work": JUNCTION_WORK, "chain_flows": CHAIN_FLOWS}
+    try:
+        for seed, proc in procs.items():
+            out, _ = proc.communicate(timeout=120)
+            assert proc.returncode == 0, f"PYTHONHASHSEED={seed}"
+            assert json.loads(out) == want, f"PYTHONHASHSEED={seed}"
+    finally:
+        for proc in procs.values():
+            proc.kill()

@@ -2,11 +2,14 @@
 
 import copy
 import json
+import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prefalloc import randgen
 from prefalloc.cli import main
 from prefalloc.core import (
     Allocation,
@@ -54,9 +57,10 @@ class TestPreferenceGraph:
         g = graph("abcd", [("a", "b"), ("a", "c"), ("b", "d")])
         a, b, c, d = (g.position[v] for v in "abcd")
         assert g.outs[a] == (b, c)
-        assert g.ins[d] == (b,)
+        assert g.outs[b] == (d,)
         assert [len(hs) for hs in g.outs] == [2, 1, 0, 0]
-        assert [len(ts) for ts in g.ins] == [0, 1, 1, 1]
+        assert g.indeg == [0, 1, 1, 1]
+        assert g.indeg == [sum(h == v for _, h in g.arcs) for v in g.sorted_items]
 
     def test_dominated_set_is_bundle_plus_descendants(self):
         g = graph("abcd", [("a", "b"), ("b", "c")])
@@ -85,15 +89,27 @@ class TestInstance:
         inst = Instance(("b", "a"), {"y": graph("b"), "x": graph("a")})
         assert inst.agents == ("x", "y")
         assert inst.items == ("a", "b")
+        assert inst.position == {"a": 0, "b": 1}
 
     def test_build_drops_undesired_with_warning(self):
         with pytest.warns(NormalizationWarning):
             inst = Instance.build({"a", "b"}, {"x": graph("a")})
         assert inst.items == ("a",)
 
-    def test_build_silent_when_asked(self):
-        inst = Instance.build({"a", "b"}, {"x": graph("a")}, warn_dropped=False)
-        assert inst.items == ("a",)
+    def test_generators_drop_unsampled_items_without_warning(self):
+        # The generators leave out the pool items no agent sampled, which
+        # `Instance.build` would drop with a warning.
+        short = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(20):
+                rng = random.Random(seed)
+                for inst in (
+                    randgen.random_instance(rng, "path", 10, 1),
+                    randgen.junction_bounded_instance(rng, 10, 1, 2),
+                ):
+                    short += inst.num_items < 10
+        assert short >= 20
 
     def test_sorted_canonical_order(self, worked):
         assert worked.items == ("a", "b", "c")
@@ -207,6 +223,12 @@ class TestSerialization:
     def test_parse_allocation_rejects_non_list_bundle(self):
         with pytest.raises(ParseError):
             parse_allocation('{"allocation": {"x": "a"}}')
+
+    def test_parse_allocation_rejects_repeated_item(self):
+        # A set would merge the repeats; like parse_instance, refuse them.
+        with pytest.raises(ParseError) as info:
+            parse_allocation('{"allocation": {"y": ["b"], "x": ["a", "c", "a"]}}')
+        assert str(info.value) == "duplicate item 'a' (at allocation.x)"
 
 
 
@@ -379,11 +401,10 @@ def test_predecessors_are_the_items_that_reach(g):
     order = g.sorted_items
     assert order == tuple(sorted(g.items))
     assert dict(g.position) == {v: i for i, v in enumerate(order)}
-    for lists in (g.outs, g.ins):
-        assert len(lists) == len(order)
-        assert all(ns == tuple(sorted(set(ns))) for ns in lists)
+    assert len(g.outs) == len(order)
+    assert all(hs == tuple(sorted(set(hs))) for hs in g.outs)
     assert {(order[i], order[j]) for i, hs in enumerate(g.outs) for j in hs} == g.arcs
-    assert {(order[j], order[i]) for i, ts in enumerate(g.ins) for j in ts} == g.arcs
+    assert g.indeg == [sum(h == v for _, h in g.arcs) for v in order]
     assert len(g.reach) == len(order)
     for i, v in enumerate(order):
         assert g.reach[i] == sum(1 << g.position[u] for u in reachable(g, v))
@@ -392,7 +413,7 @@ def test_predecessors_are_the_items_that_reach(g):
 @settings(max_examples=80, deadline=None)
 @given(dags(), st.data())
 def test_dissatisfaction_bounds_and_monotonicity(g, data):
-    inst = Instance.build(g.items, {"x": g}, warn_dropped=False)
+    inst = Instance.build(g.items, {"x": g})
     verts = sorted(g.items)
     bundle = set(data.draw(st.lists(st.sampled_from(verts), unique=True)))
     more = bundle | set(data.draw(st.lists(st.sampled_from(verts), unique=True)))

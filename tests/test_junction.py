@@ -119,22 +119,29 @@ def _junction_draw(seed: int):
             return inst
 
 
+def _open_rows(guess, taken):
+    """Every open chain's row in guess order, without the taken items."""
+    return [
+        [(x, gx) for x, gx in full if x not in taken] for c in guess.values() for full in c.rows
+    ]
+
+
 def _guesses(inst):
-    """(guess, taken) for every guess of inst with no junction taken twice."""
+    """(guess, taken, rows) for every guess of inst with no junction taken twice."""
     cases = [_agent_cases(inst.graphs[a]) for a in inst.agents]
     for combo in itertools.product(*cases):
         guess = dict(zip(inst.agents, combo))
         taken = _taken(guess)
         if taken is not None:
-            yield guess, taken
+            yield guess, taken, _open_rows(guess, taken)
 
 
 @pytest.mark.parametrize("seed", range(100))
 def test_bound_caps_every_flow_of_a_guess(seed):
-    for guess, taken in _guesses(_junction_draw(seed)):
-        bound = _bound(guess, taken)
+    for guess, taken, rows in _guesses(_junction_draw(seed)):
+        bound = _bound(guess, rows)
         for picks in itertools.product(*(c.exits for c in guess.values())):
-            got = _solve_flow(guess, taken, picks)
+            got = _solve_flow(guess, taken, rows, picks)
             assert got is None or got[0] <= bound
 
 
@@ -144,23 +151,24 @@ def test_price_bound_lies_between_assignment_and_chain_item_sums(seed):
     # promise enforced, which no dual bound can undercut.  Above: the
     # smaller of the per-chain and per-item sums, which the price term may
     # only tighten.
-    for guess, taken in _guesses(_junction_draw(seed)):
+    for guess, taken, rows in _guesses(_junction_draw(seed)):
         fixed = sum(c.sat for c in guess.values())
-        chains = [(a, ch.items) for a, c in guess.items() for ch in c.chains]
-        arcs, _ = _chain_network([(a, items, "t") for a, items in chains], taken)
+        # Each case's rows hold its open chains' items by depth, an item at
+        # depth t of an m-item chain gaining m - t.
+        for c in guess.values():
+            assert all([g for _, g in full] == list(range(len(full), 0, -1)) for full in c.rows)
+        arcs, _ = _chain_network([(None, row, "t") for row in rows])
         feasible, relaxed, _ = max_profit_flow(arcs, "s", "t")
         assert feasible
-        by_chain = sum(
-            next((len(items) - t for t, x in enumerate(items) if x not in taken), 0)
-            for _, items in chains
-        )
+        full_rows = [full for c in guess.values() for full in c.rows]
+        by_chain = sum(next((gx for x, gx in full if x not in taken), 0) for full in full_rows)
         by_item: dict[str, int] = {}
-        for _, items in chains:
-            for t, x in enumerate(items):
+        for full in full_rows:
+            for x, gx in full:
                 if x not in taken:
-                    by_item[x] = max(by_item.get(x, 0), len(items) - t)
+                    by_item[x] = max(by_item.get(x, 0), gx)
         upper = fixed + min(by_chain, sum(by_item.values()))
-        assert fixed + relaxed <= _bound(guess, taken) <= upper
+        assert fixed + relaxed <= _bound(guess, rows) <= upper
 
 
 @pytest.mark.parametrize("seed", range(200))
@@ -176,14 +184,11 @@ def test_bound_is_chain_or_price_round_and_within_the_item_sum(seed):
         for _ in range(rng.randint(0, 3)):
             items = rng.sample(pool, rng.randint(1, len(pool)))
             rows.append([(x, len(items) - t) for t, x in enumerate(items)])
-        guess[str(a)] = junction._Case([], rng.randint(0, 5), [], [], rows)
+        guess[str(a)] = junction._Case([], rng.randint(0, 5), [], rows)
     taken = {x: "0" for x in pool if rng.random() < 0.25}
-    rows = [
-        row
-        for c in guess.values()
-        for full in c.rows
-        if (row := [(x, gx) for x, gx in full if x not in taken])
-    ]
+    # _bound takes every open row, emptied ones included; they add nothing.
+    open_rows = _open_rows(guess, taken)
+    rows = [row for row in open_rows if row]
     gains: dict[str, list[int]] = {}
     for row in rows:
         for x, gx in row:
@@ -198,7 +203,7 @@ def test_bound_is_chain_or_price_round_and_within_the_item_sum(seed):
     by_price = sum(q) + sum(p.values())
     by_item = sum(max(gs) for gs in gains.values())
     fixed = sum(c.sat for c in guess.values())
-    assert _bound(guess, taken) == fixed + min(by_chain, by_price)
+    assert _bound(guess, open_rows) == fixed + min(by_chain, by_price)
     assert by_price <= by_item
 
 
@@ -222,10 +227,10 @@ def test_unkeepable_promises_are_dropped_with_their_case(monkeypatch):
                 assert c.exits
                 for groups, count in c.exits:
                     assert set(groups) - {None} == set(range(count)), (seed, a, c)
-        for guess, taken in _guesses(inst):
+        for guess, taken, rows in _guesses(inst):
             for picks in itertools.product(*(c.exits for c in guess.values())):
                 before = flows
-                _solve_flow(guess, taken, picks)
+                _solve_flow(guess, taken, rows, picks)
                 assert flows == before + 1, (seed, guess, picks)
 
 
@@ -258,10 +263,10 @@ def test_pair_pick_order_is_pinned():
         inst = _pair_slot_gadget(roles)
         picks = [len(c.exits) for c in _agent_cases(inst.graphs["0"])]
         assert picks.count(2) == 1 and set(picks) == {1, 2}
-        for guess, taken in _guesses(inst):
-            bound = _bound(guess, taken)
+        for guess, taken, rows in _guesses(inst):
+            bound = _bound(guess, rows)
             for b in (bound, bound + 1):
-                r = _evaluate_guess(guess, taken, b)
+                r = _evaluate_guess(guess, taken, rows, b)
                 got.append(r and [r[0], sorted([a, sorted(x)] for a, x in r[1].items())])
     digest = hashlib.sha256(json.dumps(got).encode()).hexdigest()
     assert digest == PINNED_PICK_DIGEST

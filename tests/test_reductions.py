@@ -334,7 +334,8 @@ class TestTwoPaths:
             g = inst.graphs[a]
             assert GraphClass.DISJOINT_PATHS in g.classes
             assert len(g.items) <= 5
-            assert sum(1 for ts in g.ins if not ts) <= 2
+            assert g.indeg == [sum(h == v for _, h in g.arcs) for v in g.sorted_items]
+            assert g.indeg.count(0) <= 2
 
     def test_requires_distinct_variables(self):
         with pytest.raises(PreconditionError):
