@@ -13,9 +13,11 @@ routing itself.
 `ROUTES` is the route table: per exact polynomial solver, the objective
 it minimizes, the class every agent's graph must have, the agent count
 it needs, the reason `dispatch` reports, and the solver's (module,
-function).  `dispatch` takes the first entry that fits; the general-DAG
-entry, `minsum-junctions`, also needs few junction vertices.  What no
-entry fits goes to the exhaustive oracle, within its size guard.
+function).  It is the one statement of each route's domain: `dispatch`
+takes the first entry with no `misfit`, and each solver refuses through
+its entry's `misfit` text.  `ROUTE` indexes the table by name.  The
+general-DAG entry, `minsum-junctions`, also needs few junction vertices.
+What no entry fits goes to the exhaustive oracle, within its size guard.
 """
 
 from __future__ import annotations
@@ -85,10 +87,14 @@ class Route:
     reason: str
     solver: tuple[str, str]  # (module, function) within the package
 
-    def fits(self, inst: Instance) -> bool:
+    def misfit(self, inst: Instance) -> str | None:
+        """Why the instance is outside this route's domain, or None when it fits."""
         if self.agents is not None and inst.num_agents != self.agents:
-            return False
-        return misfit_agent(inst, self.shape) is None
+            return f"exactly {self.agents} agents required"
+        bad = misfit_agent(inst, self.shape)
+        if bad is not None:
+            return f"graph of agent {bad!r} is not of class {self.shape.value!r}"
+        return None
 
     def solve(self, inst: Instance):
         # Looked up on the module at call time: the solver modules import
@@ -117,23 +123,26 @@ ROUTES = (
           "two agents, every graph a directed matching", ("polyalgos", "minmax_two_matchings")),
 )
 
+#: Routes by name: what `--algorithm` forces and each solver checks its domain against.
+ROUTE = {route.name: route for route in ROUTES}
+
 
 def dispatch(inst: Instance, objective: str) -> SolverChoice:
     """Pick the best solver for the instance shape and objective.
 
-    Takes the first entry of `ROUTES` for the objective whose shape and
-    agent count fit; in particular the max objective never routes path
-    forests to the bottleneck-assignment solver (only single paths per
-    agent are safe).  Falls back to the exhaustive oracle when
-    `exact.fits` takes the instance under the PREFALLOC_ORACLE_LIMIT
-    setting, else reports "oracle-too-large" with that check's reason.
+    Takes the first entry of `ROUTES` for the objective with no `misfit`;
+    in particular the max objective never routes path forests to the
+    bottleneck-assignment solver (only single paths per agent are safe).
+    Falls back to the exhaustive oracle when `exact.fits` takes the
+    instance under the PREFALLOC_ORACLE_LIMIT setting, else reports
+    "oracle-too-large" with that check's reason.
     """
     from . import exact
 
     if objective not in ("sum", "max"):
         raise PreconditionError(f"unknown objective {objective!r}")
     for route in ROUTES:
-        if route.objective != objective or not route.fits(inst):
+        if route.objective != objective or route.misfit(inst) is not None:
             continue
         if route.shape is not GraphClass.GENERAL_DAG:
             return SolverChoice(route.name, route.reason)

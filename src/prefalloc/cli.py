@@ -35,9 +35,6 @@ EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_TOO_LARGE = 4
 
-# Forceable solver names besides "oracle" and "auto".
-_ROUTES = {route.name: route for route in classify.ROUTES}
-
 # generate --reduction name -> reduction
 _REDUCTIONS = {red.cli_name: red for red in reductions.REDUCTIONS.values()}
 
@@ -84,7 +81,7 @@ def _pick_algorithm(inst: Instance, objective: str, requested: str) -> tuple[str
         return choice.name, choice.reason
     if requested == "oracle":
         return "oracle", "forced by --algorithm"
-    route = _ROUTES.get(requested)
+    route = classify.ROUTE.get(requested)
     if route is None:
         raise _CliError(EXIT_UNSUPPORTED, f"unknown algorithm {requested!r}")
     if route.objective != objective:
@@ -103,7 +100,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if name == "oracle":
             res = exact.minimize(inst, args.objective)
         else:
-            res = _ROUTES[name].solve(inst)
+            res = classify.ROUTE[name].solve(inst)
     except SizeGuardError as exc:
         raise _CliError(EXIT_TOO_LARGE, str(exc)) from None
     except PreconditionError as exc:
@@ -250,9 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="decide value <= threshold: exit 0 on yes, 1 on no",
     )
-    style = solve.add_mutually_exclusive_group()
-    style.add_argument("--json", action="store_true", help="JSON report (default)")
-    style.add_argument("--table", action="store_true", help="plain text report")
+    solve.add_argument("--table", action="store_true", help="plain text report, not JSON")
     solve.add_argument(
         "--timing",
         action="store_true",

@@ -343,11 +343,3 @@ def all_profiles(inst: Instance) -> frozenset[tuple[int, ...]]:
 
     dfs(0)
     return frozenset(out)
-
-
-def decide(inst: Instance, objective: str, threshold: int) -> Allocation | None:
-    """Witness allocation with objective value at most `threshold`, if any."""
-    result = minimize(inst, objective)
-    if result.value <= threshold:
-        return result.witness
-    return None

@@ -1,8 +1,9 @@
 """Polynomial-time solvers for structured preference graphs.
 
-Each solver states its structural precondition and raises
-PreconditionError outside it.  All of them return exact optima; the tests
-check them against the exhaustive reference solver.
+Each solver checks that the instance lies in its route's domain, as
+`classify.ROUTES` states it, and raises PreconditionError with the
+route's `misfit` text outside it.  All of them return exact optima; the
+tests check them against the exhaustive reference solver.
 
 Directed matchings, single paths and path forests are all unions of
 disjoint paths: their min-sum solvers share one chain assignment, a
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .classify import GraphClass, misfit_agent
+from .classify import ROUTE
 from .core import Allocation, Instance, PreconditionError
 from .core import profile  # noqa: F401  perfbench/tracing.py wraps it by name
 from .kernels import bipartite_mwis, hopcroft_karp, max_profit_flow
@@ -29,22 +30,11 @@ class SolveResult:
     witness: Allocation
 
 
-_SHAPE_TEXT = {
-    GraphClass.DIRECTED_MATCHING: "a directed matching",
-    GraphClass.PATH: "a single path",
-    GraphClass.DISJOINT_PATHS: "a union of disjoint paths",
-    GraphClass.UNION_OUT_STARS: "a union of out-stars",
-}
-_COUNT_TEXT = {2: "two"}
-
-
-def _require(inst: Instance, shape: GraphClass, agents: int | None = None) -> None:
-    """Raise PreconditionError unless every graph has the shape (and the agent count fits)."""
-    if agents is not None and inst.num_agents != agents:
-        raise PreconditionError(f"exactly {_COUNT_TEXT.get(agents, agents)} agents required")
-    bad = misfit_agent(inst, shape)
-    if bad is not None:
-        raise PreconditionError(f"graph of agent {bad!r} is not {_SHAPE_TEXT[shape]}")
+def _require(inst: Instance, route: str) -> None:
+    """Raise PreconditionError unless the instance lies in the named route's domain."""
+    why = ROUTE[route].misfit(inst)
+    if why is not None:
+        raise PreconditionError(why)
 
 
 # -- path forests: directed matchings, single paths, unions of paths ---------
@@ -141,19 +131,19 @@ def _minsum_chains(inst: Instance) -> SolveResult:
 
 def minsum_directed_matchings(inst: Instance) -> SolveResult:
     """Min total dissatisfaction when every graph is a directed matching."""
-    _require(inst, GraphClass.DIRECTED_MATCHING)
+    _require(inst, "minsum-matchings")
     return _minsum_chains(inst)
 
 
 def minsum_paths(inst: Instance) -> SolveResult:
     """Min total dissatisfaction when every graph is one directed path."""
-    _require(inst, GraphClass.PATH)
+    _require(inst, "minsum-paths")
     return _minsum_chains(inst)
 
 
 def minsum_disjoint_paths(inst: Instance) -> SolveResult:
     """Min total dissatisfaction when every graph is a union of disjoint paths."""
-    _require(inst, GraphClass.DISJOINT_PATHS)
+    _require(inst, "minsum-disjoint-paths")
     return _minsum_chains(inst)
 
 
@@ -169,7 +159,7 @@ def minmax_paths(inst: Instance) -> SolveResult:
     longest path's length, so a binary search over 0..that length finds
     the least feasible d, the value, and its matching is the witness.
     """
-    _require(inst, GraphClass.PATH)
+    _require(inst, "minmax-paths")
     at = inst.position
     paths = [(a, [at[v] for v in _chains(inst.graphs[a])[0].items]) for a in inst.agents]
 
@@ -205,7 +195,7 @@ def preassign_two_star_forests(inst: Instance) -> Allocation:
     first claim in (agent, item) order stands; either way the leaf is
     already covered for both agents, so the value is unaffected.
     """
-    _require(inst, GraphClass.UNION_OUT_STARS, agents=2)
+    _require(inst, "minsum-two-star-forests")
     a1, a2 = inst.agents
     g = {a1: inst.graphs[a1], a2: inst.graphs[a2]}
     assigned: dict[str, str] = {}
@@ -429,7 +419,7 @@ def _two_matchings_layers(inst: Instance, prune: bool = False):
     component pair), the first such split in sorted scan order.  With
     `prune`, only minimal keys, pairs and totals are kept.
     """
-    _require(inst, GraphClass.DIRECTED_MATCHING, agents=2)
+    _require(inst, "minmax-two-matchings")
     infos = [
         (verts, *_component_table(inst, verts, arcs, prune))
         for verts, arcs in _overlay_components(inst)

@@ -292,8 +292,7 @@ def gen_minmax_outstars(source: X3CInstance) -> tuple[Instance, int]:
             frozenset((sets_[j - 1], leaf) for leaf in leaves),
         )
 
-    inst = Instance.build(items, graphs)
-    assert inst.num_items == len(items)
+    inst = Instance(items, graphs)
     assert all(GraphClass.OUT_STAR in g.classes for g in inst.graphs.values())
     return inst, ell
 
@@ -352,8 +351,7 @@ def gen_minsum_outtrees(source: X3CInstance) -> tuple[Instance, int]:
         arcs += _chain([third, *hubs[2 * depth - 2 : top], *path_j, sink])
         graphs[f"C:{j}"] = PreferenceGraph(full, frozenset(arcs))
 
-    inst = Instance.build(items, graphs)
-    assert inst.num_items == len(items)
+    inst = Instance(items, graphs)
     assert all(
         g.items == full and GraphClass.OUT_TREE in g.classes for g in inst.graphs.values()
     )
@@ -390,7 +388,7 @@ def gen_two_agents_sat(formula: Cnf3Formula) -> tuple[Instance, int, int]:
         "1": PreferenceGraph(full, frozenset(arcs1)),
         "2": PreferenceGraph(full, frozenset(arcs2)),
     }
-    inst = Instance.build(items, graphs)
+    inst = Instance(items, graphs)
     assert all(g.items == full for g in inst.graphs.values())
     return inst, 2 * n, n
 
@@ -449,8 +447,7 @@ def gen_minmax_matchings(source: X3CInstance) -> tuple[Instance, int]:
             ]
         )
 
-    inst = Instance.build(items, graphs)
-    assert inst.num_items == len(items)
+    inst = Instance(items, graphs)
     assert ell % 2 == 0
     assert all(GraphClass.DIRECTED_MATCHING in g.classes for g in inst.graphs.values())
     return inst, ell
@@ -496,8 +493,7 @@ def gen_minmax_two_paths_sat(formula: Cnf3Formula) -> tuple[Instance, int]:
         ]
         graphs[f"c:{j}"] = PreferenceGraph(frozenset(seq), frozenset(_chain(seq)))
 
-    inst = Instance.build(items, graphs)
-    assert inst.num_items == 3 + 3 * n * m
+    inst = Instance(items, graphs)
     for g in inst.graphs.values():
         assert GraphClass.DISJOINT_PATHS in g.classes and len(g.items) <= 5
         assert g.indeg.count(0) <= 2

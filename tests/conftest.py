@@ -30,6 +30,22 @@ def instance(graphs: dict) -> Instance:
     return Instance.build(pool, graphs)
 
 
+_JOIN = graph("abc", [("a", "c"), ("b", "c")])
+
+#: Instances outside polynomial routes' domains.  Under "shape" both
+#: agents' graphs join two items into a third, which no polynomial route's
+#: class allows; "count" has one agent, too few for the two-agent routes.
+OUT_OF_DOMAIN = {
+    "shape": instance({"x": _JOIN, "y": _JOIN}),
+    "count": instance({"x": graph("ab", [("a", "b")])}),
+}
+
+
+def misfit_cases(routes) -> list[tuple]:
+    """(route, OUT_OF_DOMAIN key) for every out-of-domain instance a route refuses."""
+    return [(r, kind) for r in routes for kind, inst in OUT_OF_DOMAIN.items() if r.misfit(inst)]
+
+
 def scan_first_optimum(inst: Instance, objective: str) -> tuple[int, Allocation]:
     """Value and first optimal allocation of a plain ordered scan.
 

@@ -367,11 +367,11 @@ def test_criterion_08c_two_agent_gadget_decides_the_corpus():
     for formula in SAT_CORPUS + UNSAT_CORPUS:
         expected = satisfying_assignment(formula) is not None
         inst, sum_bound, _ = gen_two_agents_sat(formula)
-        alloc = exact.decide(inst, "sum", sum_bound)
-        if alloc is None:
+        res = exact.minimize(inst, "sum")
+        if res.value > sum_bound:
             good += not expected
         else:
-            model = witness_extract("two-agents-sat", formula, alloc)
+            model = witness_extract("two-agents-sat", formula, res.witness)
             good += expected and satisfies(formula, model)
     report(
         8,
@@ -385,9 +385,9 @@ def test_max_decision_witnesses_extract_on_the_corpus():
     # extraction checks, so its witness yields a model too.
     for formula in SAT_CORPUS:
         inst, _, max_bound = gen_two_agents_sat(formula)
-        alloc = exact.decide(inst, "max", max_bound)
-        assert alloc is not None
-        assert satisfies(formula, witness_extract("two-agents-sat", formula, alloc))
+        res = exact.minimize(inst, "max")
+        assert res.value <= max_bound
+        assert satisfies(formula, witness_extract("two-agents-sat", formula, res.witness))
 
 
 def test_criterion_09_generated_instances_pass_class_checks():

@@ -20,10 +20,12 @@ from prefalloc.core import serialize_instance
 from prefalloc.reductions import Cnf3Formula, X3CInstance
 
 from conftest import (
+    OUT_OF_DOMAIN,
     chain_instance,
     graph,
     instance,
     ladder_instance,
+    misfit_cases,
     short_paths_instance,
 )
 
@@ -628,7 +630,7 @@ def route_instance_path(route, tmp_path) -> str:
         inst = randgen.junction_bounded_instance(rng, 7, agents, 3)
     else:
         inst = randgen.random_instance(rng, RANDGEN_SHAPE[route.shape], 7, agents)
-    assert route.fits(inst)
+    assert route.misfit(inst) is None
     path = tmp_path / f"{route.name}.json"
     path.write_text(serialize_instance(inst))
     return str(path)
@@ -659,6 +661,34 @@ class TestRouteTable:
         assert code == 3
         assert out == ""
         assert "does not minimize" in err
+
+
+@pytest.mark.parametrize(
+    "route,kind",
+    misfit_cases(classify.ROUTES),  # the junction route refuses only by size
+    ids=lambda p: getattr(p, "name", p),
+)
+def test_forced_route_outside_its_domain_exits_3(route, kind, tmp_path, capsys):
+    inst = OUT_OF_DOMAIN[kind]
+    path = tmp_path / "misfit.json"
+    path.write_text(serialize_instance(inst))
+    code, out, err = run(
+        capsys, "solve", str(path), "--objective", route.objective, "--algorithm", route.name
+    )
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {route.name}: {route.misfit(inst)}\n"
+
+
+def test_forced_route_misfit_message_is_pinned(tmp_path, capsys):
+    path = tmp_path / "join.json"
+    path.write_text(serialize_instance(OUT_OF_DOMAIN["shape"]))
+    argv = ("solve", str(path), "--objective", "sum", "--algorithm", "minsum-matchings")
+    assert run(capsys, *argv) == (
+        3,
+        "",
+        "error: minsum-matchings: graph of agent 'x' is not of class 'directed-matching'\n",
+    )
 
 
 def test_route_table_matches_benchmark_service():

@@ -20,7 +20,7 @@ from prefalloc.core import (
     profile,
     validate_allocation,
 )
-from prefalloc.exact import all_profiles, decide, minimize, search_space
+from prefalloc.exact import all_profiles, minimize, search_space
 from prefalloc import classify, exact, randgen, reductions
 
 from conftest import (
@@ -285,17 +285,19 @@ def test_gadget_profile_sets_match_plain_enumeration(seed):
 
 
 class TestDecide:
+    """Deciding value <= t is one `minimize`: "yes" exactly when its value meets t."""
+
     def test_yes_returns_a_meeting_witness(self, worked):
-        alloc = decide(worked, "max", 1)
-        assert alloc is not None
-        assert profile(worked, alloc).maximum <= 1
+        res = minimize(worked, "max")
+        assert res.value <= 1
+        assert profile(worked, res.witness).maximum <= 1
 
     def test_no_returns_none(self, worked):
-        assert decide(worked, "max", 0) is None
-        assert decide(worked, "sum", 1) is None
+        assert minimize(worked, "max").value > 0
+        assert minimize(worked, "sum").value > 1
 
     def test_threshold_at_optimum_is_tight(self, worked):
-        assert decide(worked, "sum", 2) is not None
+        assert minimize(worked, "sum").value <= 2
 
 
 class TestSizeGuard:
@@ -380,4 +382,4 @@ def test_unknown_objective_rejected(worked):
     with pytest.raises(PreconditionError, match="unknown objective 'median'"):
         minimize(worked, "median")
     with pytest.raises(PreconditionError, match="unknown objective 'median'"):
-        decide(worked, "median", 1)
+        classify.dispatch(worked, "median")

@@ -8,7 +8,7 @@ import string
 import pytest
 
 from prefalloc import exact, polyalgos, randgen
-from prefalloc.classify import ROUTES, GraphClass, dispatch
+from prefalloc.classify import ROUTE, ROUTES, GraphClass, dispatch
 from prefalloc.core import PreconditionError, profile, serialize_instance, validate_allocation
 from prefalloc.junction import minsum_few_junctions
 from prefalloc.kernels import lbap
@@ -23,7 +23,7 @@ from prefalloc.polyalgos import (
     two_matchings_profiles,
 )
 
-from conftest import graph, instance
+from conftest import OUT_OF_DOMAIN, graph, instance, misfit_cases
 
 
 def check_against_oracle(inst, solver, objective):
@@ -475,3 +475,39 @@ def test_matches_ilp_at_benchmark_size(reference, route, seed):
     prof = profile(inst, res.witness)
     assert (prof.total if route.objective == "sum" else prof.maximum) == res.value
     assert res.value == reference["optimum"](serialize_instance(inst), route.objective)
+
+
+@pytest.mark.parametrize(
+    "route,kind", misfit_cases(POLY_ROUTES), ids=lambda p: getattr(p, "name", p)
+)
+def test_solver_refuses_with_its_route_misfit(route, kind):
+    # The route table states each domain once; the solver's refusal is its text.
+    inst = OUT_OF_DOMAIN[kind]
+    with pytest.raises(PreconditionError) as exc:
+        route.solve(inst)
+    assert str(exc.value) == route.misfit(inst)
+
+
+@pytest.mark.parametrize("kind", sorted(OUT_OF_DOMAIN))
+@pytest.mark.parametrize(
+    "helper,route",
+    [
+        (preassign_two_star_forests, "minsum-two-star-forests"),
+        (two_matchings_profiles, "minmax-two-matchings"),
+    ],
+)
+def test_two_agent_helpers_refuse_with_their_route_misfit(helper, route, kind):
+    inst = OUT_OF_DOMAIN[kind]
+    with pytest.raises(PreconditionError) as exc:
+        helper(inst)
+    assert str(exc.value) == ROUTE[route].misfit(inst)
+
+
+def test_misfit_texts_are_pinned():
+    assert ROUTE["minmax-two-matchings"].misfit(OUT_OF_DOMAIN["count"]) == (
+        "exactly 2 agents required"
+    )
+    assert ROUTE["minsum-matchings"].misfit(OUT_OF_DOMAIN["shape"]) == (
+        "graph of agent 'x' is not of class 'directed-matching'"
+    )
+    assert ROUTE["minsum-paths"].misfit(OUT_OF_DOMAIN["count"]) is None

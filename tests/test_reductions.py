@@ -288,13 +288,13 @@ class TestTwoAgents:
 
     def test_oracle_decides_satisfiability(self):
         inst, sum_bound, _ = gen_two_agents_sat(SAT)
-        alloc = exact.decide(inst, "sum", sum_bound)
-        assert alloc is not None
-        assert satisfies(SAT, witness_extract("two-agents-sat", SAT, alloc))
+        res = exact.minimize(inst, "sum")
+        assert res.value <= sum_bound
+        assert satisfies(SAT, witness_extract("two-agents-sat", SAT, res.witness))
 
         inst_u, sum_u, max_u = gen_two_agents_sat(UNSAT)
-        assert exact.decide(inst_u, "sum", sum_u) is None
-        assert exact.decide(inst_u, "max", max_u) is None
+        assert exact.minimize(inst_u, "sum").value > sum_u
+        assert exact.minimize(inst_u, "max").value > max_u
 
     def test_repeated_literal_clause_still_works(self):
         # (x1 or x1 or x1) collapses to a single arc but stays correct
