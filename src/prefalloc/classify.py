@@ -25,22 +25,12 @@ from __future__ import annotations
 import importlib
 from dataclasses import dataclass
 
-from .core import GraphClass, Instance, PreconditionError
-
-#: Labels from most to least specific.
-_PRIORITY = (
-    GraphClass.OUT_STAR,
-    GraphClass.PATH,
-    GraphClass.OUT_TREE,
-    GraphClass.DIRECTED_MATCHING,
-    GraphClass.DISJOINT_PATHS,
-    GraphClass.UNION_OUT_STARS,
-    GraphClass.GENERAL_DAG,
-)
+from .core import OBJECTIVES, GraphClass, Instance, PreconditionError
 
 
 def instance_class(inst: Instance) -> GraphClass:
-    """Most specific label shared by every agent's graph.
+    """Most specific label shared by every agent's graph: the first in
+    `GraphClass` declaration order.
 
     An instance with no agents reports GENERAL_DAG, though every route's
     shape holds of its agents vacuously and `dispatch` picks accordingly.
@@ -48,7 +38,7 @@ def instance_class(inst: Instance) -> GraphClass:
     if not inst.agents:
         return GraphClass.GENERAL_DAG
     shared = frozenset.intersection(*(inst.graphs[a].classes for a in inst.agents))
-    return next(label for label in _PRIORITY if label in shared)
+    return next(label for label in GraphClass if label in shared)
 
 
 def misfit_agent(inst: Instance, label: GraphClass) -> str | None:
@@ -139,7 +129,7 @@ def dispatch(inst: Instance, objective: str) -> SolverChoice:
     """
     from . import exact
 
-    if objective not in ("sum", "max"):
+    if objective not in OBJECTIVES:
         raise PreconditionError(f"unknown objective {objective!r}")
     for route in ROUTES:
         if route.objective != objective or route.misfit(inst) is not None:

@@ -16,7 +16,7 @@ import time
 
 from . import classify, exact, randgen, reductions
 from .core import (
-    Allocation,
+    OBJECTIVES,
     Instance,
     ParseError,
     PreconditionError,
@@ -63,14 +63,12 @@ def _load_instance(path: str) -> Instance:
         return parse_instance(_read_text(path))
     except ParseError as exc:
         raise _CliError(EXIT_INPUT, f"bad instance: {exc}") from None
+    except SizeGuardError as exc:
+        raise _CliError(EXIT_TOO_LARGE, f"instance too large: {exc}") from None
 
 
 def _emit(text: str) -> None:
     sys.stdout.write(text)
-
-
-def _alloc_payload(alloc: Allocation) -> dict:
-    return {agent: sorted(items) for agent, items in alloc.pairs}
 
 
 def _pick_algorithm(inst: Instance, objective: str, requested: str) -> tuple[str, str]:
@@ -111,7 +109,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     # Recompute the objective from the witness so the report can never
     # drift from the allocation it carries.
     prof = profile(inst, witness)
-    checked = prof.total if args.objective == "sum" else prof.maximum
+    checked = OBJECTIVES[args.objective](prof.values)
     if checked != value:
         raise AssertionError(
             f"solver {name} reported {value} but its witness evaluates to {checked}"
@@ -125,7 +123,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "profile": prof.as_dict(),
         "sum": prof.total,
         "max": prof.maximum,
-        "allocation": _alloc_payload(witness),
+        "allocation": {agent: sorted(items) for agent, items in witness.pairs},
     }
     code = EXIT_OK
     if args.threshold is not None:
@@ -185,7 +183,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "instance_class": classify.instance_class(inst).value,
         "junctions": {a: sorted(inst.graphs[a].junctions) for a in inst.agents},
         "gamma": classify.junction_count(inst),
-        "recommended": {o: classify.dispatch(inst, o).name for o in ("sum", "max")},
+        "recommended": {o: classify.dispatch(inst, o).name for o in OBJECTIVES},
     }
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
@@ -235,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="minimize an objective over an instance")
     solve.add_argument("instance", help="instance JSON path, or - for stdin")
-    solve.add_argument("--objective", choices=("sum", "max"), required=True)
+    solve.add_argument("--objective", choices=tuple(OBJECTIVES), required=True)
     solve.add_argument(
         "--algorithm",
         default="auto",

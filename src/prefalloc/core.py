@@ -48,7 +48,7 @@ class PreconditionError(Error):
 
 
 class SizeGuardError(Error):
-    """Exhaustive search refused: the instance exceeds the configured bound."""
+    """Size refusal: the input exceeds a fixed or configured bound on its work."""
 
 
 class NormalizationWarning(UserWarning):
@@ -59,25 +59,27 @@ class GraphClass(enum.Enum):
     """Shape labels of a preference graph; `PreferenceGraph.classes` decides them.
 
     Labels are not a partition: a single vertex is an out-star, a path
-    and more at once.  Each member's docstring defines its label.
+    and more at once.  Each member's docstring defines its label.  Members
+    are declared from most to least specific, the order in which
+    `classify.instance_class` picks a shared label.
     """
 
     OUT_STAR = "out-star"
     """One root with arcs to every other vertex, and no other arcs.
 
     A single vertex with no arcs qualifies (root with zero leaves)."""
-    OUT_TREE = "out-tree"
-    """One in-degree-0 root, every other vertex in-degree 1, all reachable."""
     PATH = "path"
     """A single directed path covering every vertex.
 
     Single vertices count (a path of length zero)."""
-    DISJOINT_PATHS = "disjoint-paths"
-    """A nonempty union of disjoint paths: in- and out-degrees at most one."""
+    OUT_TREE = "out-tree"
+    """One in-degree-0 root, every other vertex in-degree 1, all reachable."""
     DIRECTED_MATCHING = "directed-matching"
     """Disjoint arcs covering all vertices: every vertex has total degree one.
 
     The empty graph qualifies vacuously; an isolated vertex disqualifies."""
+    DISJOINT_PATHS = "disjoint-paths"
+    """A nonempty union of disjoint paths: in- and out-degrees at most one."""
     UNION_OUT_STARS = "union-of-out-stars"
     """Nonempty disjoint union of out-stars (isolated vertices allowed).
 
@@ -271,12 +273,6 @@ class Instance:
             )
         return inst
 
-    def graph(self, agent: AgentId) -> PreferenceGraph:
-        try:
-            return self.graphs[agent]
-        except KeyError:
-            raise PreconditionError(f"unknown agent {agent!r}") from None
-
     @property
     def num_items(self) -> int:
         return len(self.items)
@@ -333,6 +329,11 @@ class Allocation:
         return frozenset(out)
 
 
+#: Objective name -> its score of the per-agent dissatisfaction values:
+#: the total, or the worst agent's (0 when there are no agents).
+OBJECTIVES = {"sum": sum, "max": lambda values: max(values) if values else 0}
+
+
 @dataclass(frozen=True)
 class DissatisfactionProfile:
     """Per-agent dissatisfaction counts, in the instance's agent order."""
@@ -342,11 +343,11 @@ class DissatisfactionProfile:
 
     @property
     def total(self) -> int:
-        return sum(self.values)
+        return OBJECTIVES["sum"](self.values)
 
     @property
     def maximum(self) -> int:
-        return max(self.values) if self.values else 0
+        return OBJECTIVES["max"](self.values)
 
     def __getitem__(self, agent: AgentId) -> int:
         try:
@@ -390,27 +391,22 @@ def validate_allocation(inst: Instance, alloc: Allocation) -> list[str]:
     return violations
 
 
-def _require_valid(inst: Instance, alloc: Allocation):
-    violations = validate_allocation(inst, alloc)
-    if violations:
-        raise ValidationError(violations)
-
-
 def dissatisfaction(inst: Instance, alloc: Allocation, agent: AgentId) -> int:
     """Number of items in the agent's graph left uncovered by its bundle."""
-    _require_valid(inst, alloc)
-    g = inst.graph(agent)
-    return len(g.items) - g.dominated_mask(alloc.get(agent)).bit_count()
+    return profile(inst, alloc)[agent]
 
 
 def satisfaction(inst: Instance, alloc: Allocation, agent: AgentId) -> int:
     """Number of items in the agent's graph covered by its bundle."""
-    return len(inst.graph(agent).items) - dissatisfaction(inst, alloc, agent)
+    uncovered = dissatisfaction(inst, alloc, agent)  # checks the allocation and the agent
+    return len(inst.graphs[agent].items) - uncovered
 
 
 def profile(inst: Instance, alloc: Allocation) -> DissatisfactionProfile:
     """Dissatisfaction of every agent, as a profile in canonical agent order."""
-    _require_valid(inst, alloc)
+    violations = validate_allocation(inst, alloc)
+    if violations:
+        raise ValidationError(violations)
     values = []
     for a in inst.agents:
         g = inst.graphs[a]
@@ -453,6 +449,11 @@ def _unique(values: list, what: str, location: str) -> frozenset:
     return out
 
 
+#: Bits the parsed graphs' reach masks may take in all, counting n**2 for an
+#: n-item graph (its masks take about half that): 1 GiB of masks at most.
+_REACH_BUDGET = 2**33
+
+
 def parse_instance(text: str | bytes) -> Instance:
     """Parse the instance interchange format.
 
@@ -461,7 +462,8 @@ def parse_instance(text: str | bytes) -> Instance:
     dropped with a NormalizationWarning.  Only the document's shape and
     the duplicates that sets would silently merge are checked here;
     unknown items, arc endpoints, self-loops and cycles are rejected by
-    `PreferenceGraph` and `Instance`.
+    `PreferenceGraph` and `Instance`.  A document whose graphs would pass
+    `_REACH_BUDGET` is refused with SizeGuardError before that graph is built.
     """
     data = load_json(text)
     _expect(isinstance(data, dict), "top level must be an object", "$")
@@ -476,6 +478,7 @@ def parse_instance(text: str | bytes) -> Instance:
     raw_agents = data["agents"]
     _expect(isinstance(raw_agents, list), '"agents" must be an array', "agents")
     graphs: dict[str, PreferenceGraph] = {}
+    budget = _REACH_BUDGET
     for i, entry in enumerate(raw_agents):
         loc = f"agents[{i}]"
         _expect(isinstance(entry, dict), "agent entries must be objects", loc)
@@ -500,6 +503,9 @@ def parse_instance(text: str | bytes) -> Instance:
                 raise ParseError("arc ends must be strings", f"{loc}.arcs[{j}]")
             arcs.append((tail, head))
         arcs = _unique(arcs, "arc", f"{loc}.arcs")
+        budget -= len(aitems) ** 2
+        if budget < 0:
+            raise SizeGuardError(f"graphs' reach masks would pass {_REACH_BUDGET} bits (at {loc})")
         try:
             graphs[aid] = PreferenceGraph(aitems, arcs)
         except ParseError as e:

@@ -82,7 +82,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .core import Allocation, Instance, ParseError, PreconditionError, SizeGuardError
+from .core import OBJECTIVES, Allocation, Instance, ParseError, PreconditionError, SizeGuardError
 
 _LIMIT_ENV = "PREFALLOC_ORACLE_LIMIT"
 _DEFAULT_LIMIT = 10_000_000
@@ -153,18 +153,17 @@ def _guard(inst: Instance) -> None:
         raise SizeGuardError(reason)
 
 
-def _prepare(inst: Instance):
-    items = inst.items
-    agents = inst.agents
-    # Per item: desiring agent index -> reach mask, filled in agent order.
+def _prepare(inst: Instance) -> tuple[list[dict[int, int]], list[int]]:
+    """Per item, desiring agent index -> reach mask, filled in agent order;
+    and per agent, its graph's item count."""
     at = inst.position
-    reach: list[dict[int, int]] = [{} for _ in items]
-    for ai, a in enumerate(agents):
+    reach: list[dict[int, int]] = [{} for _ in inst.items]
+    for ai, a in enumerate(inst.agents):
         g = inst.graphs[a]
         for v, r in zip(g.sorted_items, g.reach):
             reach[at[v]][ai] = r
-    sizes = [len(inst.graphs[a].items) for a in agents]
-    return items, agents, reach, sizes
+    sizes = [len(inst.graphs[a].items) for a in inst.agents]
+    return reach, sizes
 
 
 def _suffix_bounds(
@@ -200,12 +199,12 @@ def minimize(inst: Instance, objective: str = "sum") -> OracleResult:
 
     objective is "sum" (total dissatisfaction) or "max" (worst agent).
     """
-    if objective not in ("sum", "max"):
+    if objective not in OBJECTIVES:
         raise PreconditionError(f"unknown objective {objective!r}")
     _guard(inst)
-    items, agents, reach, sizes = _prepare(inst)
-    n = len(items)
-    k = len(agents)
+    reach, sizes = _prepare(inst)
+    n, k = len(inst.items), len(inst.agents)
+    score = OBJECTIVES[objective]
     suffix, once, cap = _suffix_bounds(reach, n, k)
 
     masks = [0] * k
@@ -287,7 +286,7 @@ def minimize(inst: Instance, objective: str = "sum") -> OracleResult:
         nodes += 1
         if j == n:
             leaves += 1
-            value = sum(dissat) if objective == "sum" else (max(dissat) if k else 0)
+            value = score(dissat)
             if best_value is None or value < best_value:
                 best_value = value
                 best_assign = assign[:]
@@ -317,9 +316,8 @@ def minimize(inst: Instance, objective: str = "sum") -> OracleResult:
 def all_profiles(inst: Instance) -> frozenset[tuple[int, ...]]:
     """Every dissatisfaction profile any partial allocation can realize."""
     _guard(inst)
-    items, agents, reach, sizes = _prepare(inst)
-    n = len(items)
-    k = len(agents)
+    reach, sizes = _prepare(inst)
+    n, k = len(inst.items), len(inst.agents)
     masks = [0] * k
     dissat = sizes[:]
     out: set[tuple[int, ...]] = set()

@@ -59,7 +59,7 @@ from .classify import DEFAULT_GAMMA_LIMIT, junction_count
 from .core import Allocation, Instance, SizeGuardError
 from .core import profile  # noqa: F401  perfbench/tracing.py wraps it by name
 from .kernels import max_profit_flow
-from .polyalgos import SolveResult, _chain_network, _chains, _gains
+from .polyalgos import SolveResult, _bundles, _chain_network, _chains, _gains
 
 
 class _Case(NamedTuple):
@@ -235,27 +235,19 @@ def _solve_flow(guess, taken, rows, picks):
     open_rows = iter(rows)
     arcs, tags = _chain_network(
         [
-            (a, next(open_rows), "t" if k is None else ("g", a, k))
+            (a, next(open_rows), None if k is None else ("g", a, k))
             for a, (groups, _) in zip(guess, picks)
             for k in groups
-        ]
+        ],
+        [("g", a, k) for a, (_, count) in zip(guess, picks) for k in range(count)],
     )
-    arcs += [
-        (("g", a, k), "t", 1, None, 0)
-        for a, (_, count) in zip(guess, picks)
-        for k in range(count)
-    ]
-
     feasible, prof, flows = max_profit_flow(arcs, "s", "t")
     if not feasible:
         return None
     bundles: dict[str, set[str]] = {}
     for v, a in taken.items():
         bundles.setdefault(a, set()).add(v)
-    for tag, flow in zip(tags, flows):
-        if tag is not None and flow:
-            bundles.setdefault(tag[0], set()).add(tag[1])
-    return sum(c.sat for c in guess.values()) + prof, bundles
+    return sum(c.sat for c in guess.values()) + prof, _bundles(tags, flows, bundles)
 
 
 def _minimalize(inst: Instance, bundles: dict[str, set[str]]) -> Allocation:

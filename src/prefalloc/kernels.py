@@ -4,8 +4,8 @@ Everything here is exact integer arithmetic: max-profit flow with arc
 lower bounds over DAG networks (successive shortest source->sink paths,
 no artificial excess), linear sum assignment, max-weight bipartite
 matching and max-weight independent set in bipartite graphs as thin
-adapters onto it, bottleneck assignment, and cardinality matching.  No
-floating point anywhere.
+adapters onto it, bottleneck assignment, and cardinality matching.  Only
+the infinity sentinels of `hopcroft_karp` and `max_profit_flow` are floats.
 """
 
 from __future__ import annotations

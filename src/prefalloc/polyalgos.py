@@ -89,16 +89,18 @@ def _gains(items: list[str]) -> list[tuple[str, int]]:
     return [(x, len(items) - t) for t, x in enumerate(items)]
 
 
-def _chain_network(rows) -> tuple[list[tuple], list[tuple[str, str] | None]]:
-    """Arcs s -> item -> row node -> exit for `max_profit_flow`, and their tags.
+def _chain_network(rows, groups) -> tuple[list[tuple], list[tuple[str, str] | None]]:
+    """Arcs s -> item -> row node -> exit -> t for `max_profit_flow`, and their tags.
 
-    rows are (agent, [(item, gain)], exit node).  An item earns its gain
-    on its arc to the row node, and each row node has one capacity-1 arc
-    to its exit, so a row hands out at most one item.  tags[k] is
-    (agent, item) for an item -> row arc, else None.  Arc order decides
-    ties between equally profitable flows: each row's item arcs in row
-    order, then its exit arc, rows in the given order, then the s -> item
-    arcs in descending item order.
+    rows are (agent, [(item, gain)], exit), where an exit of None is the
+    sink t and any other exit is one of `groups`, the nodes that must each
+    hand out at least one item.  An item earns its gain on its arc to the
+    row node, and each row node has one capacity-1 arc to its exit, so a
+    row hands out at most one item.  tags[k] is (agent, item) for an item
+    -> row arc, else None.  Arc order decides ties between equally
+    profitable flows: each row's item arcs in row order, then its exit
+    arc, rows in the given order, then the s -> item arcs in descending
+    item order, then each group's arc to t.
     """
     arcs: list[tuple] = []
     tags: list[tuple[str, str] | None] = []
@@ -109,24 +111,30 @@ def _chain_network(rows) -> tuple[list[tuple], list[tuple[str, str] | None]]:
             item_nodes.add(x)
             arcs.append((("i", x), node, 0, 1, gain))
             tags.append((a, x))
-        arcs.append((node, exit_node, 0, 1, 0))
+        arcs.append((node, exit_node or "t", 0, 1, 0))
         tags.append(None)
     for x in sorted(item_nodes, reverse=True):
         arcs.append(("s", ("i", x), 0, 1, 0))
         tags.append(None)
+    arcs += [(group, "t", 1, None, 0) for group in groups]
+    tags += [None] * len(groups)
     return arcs, tags
 
 
-def _minsum_chains(inst: Instance) -> SolveResult:
-    rows = [(a, _gains(ch.items), "t") for a in inst.agents for ch in _chains(inst.graphs[a])]
-    arcs, tags = _chain_network(rows)
-    _, prof, flows = max_profit_flow(arcs, "s", "t")
-    bundles: dict[str, set[str]] = {}
+def _bundles(tags, flows, into: dict[str, set[str]]) -> dict[str, set[str]]:
+    """Add to `into` each item whose tagged arc carries flow, in its agent's bundle."""
     for tag, flow in zip(tags, flows):
         if tag is not None and flow:
-            bundles.setdefault(tag[0], set()).add(tag[1])
+            into.setdefault(tag[0], set()).add(tag[1])
+    return into
+
+
+def _minsum_chains(inst: Instance) -> SolveResult:
+    rows = [(a, _gains(ch.items), None) for a in inst.agents for ch in _chains(inst.graphs[a])]
+    arcs, tags = _chain_network(rows, [])
+    _, prof, flows = max_profit_flow(arcs, "s", "t")
     size = sum(len(row) for _, row, _ in rows)
-    return SolveResult(size - prof, Allocation.of(bundles))
+    return SolveResult(size - prof, Allocation.of(_bundles(tags, flows, {})))
 
 
 def minsum_directed_matchings(inst: Instance) -> SolveResult:

@@ -20,8 +20,8 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 from .core import (
+    OBJECTIVES,
     Allocation,
-    DissatisfactionProfile,
     GraphClass,
     Instance,
     ParseError,
@@ -512,9 +512,7 @@ def _require_cover(source: X3CInstance, witness: Iterable[int]) -> tuple[int, ..
 
 def _require_model(formula: Cnf3Formula, witness: Iterable[bool]) -> tuple[bool, ...]:
     model = tuple(bool(b) for b in witness)
-    if len(model) != formula.num_vars:
-        raise PreconditionError("assignment length does not match variable count")
-    if not satisfies(formula, model):
+    if not satisfies(formula, model):  # refuses a model of the wrong length
         raise PreconditionError("assignment does not satisfy the formula")
     return model
 
@@ -663,7 +661,7 @@ REDUCTIONS: dict[str, Reduction] = {
     "minsum-outtrees": Reduction("x3c-trees", X3CInstance, parse_x3c, gen_minsum_outtrees,
                                  ("sum",), _outtrees_witness, _outtrees_cover),
     "two-agents-sat": Reduction("sat-2agents", Cnf3Formula, parse_dimacs, gen_two_agents_sat,
-                                ("sum", "max"), _two_agents_witness, _two_agents_model),
+                                tuple(OBJECTIVES), _two_agents_witness, _two_agents_model),
     "minmax-matchings": Reduction("x3c-matchings", X3CInstance, parse_x3c, gen_minmax_matchings,
                                   ("max",), _matchings_witness, _fully_received_sets),
     "minmax-two-paths": Reduction("sat-paths", Cnf3Formula, parse_dimacs, gen_minmax_two_paths_sat,
@@ -683,10 +681,6 @@ def _reduction(kind: str, source) -> Reduction:
     return red
 
 
-def _value(prof: DissatisfactionProfile, objective: str) -> int:
-    return prof.total if objective == "sum" else prof.maximum
-
-
 def witness_allocation(kind: str, source, witness) -> Allocation:
     """Translate a source certificate into a threshold-meeting allocation.
 
@@ -698,7 +692,7 @@ def witness_allocation(kind: str, source, witness) -> Allocation:
     inst, *bounds = red.generate(source)
     alloc = red.witness(source, cert, bounds[0])
     prof = profile(inst, alloc)
-    assert all(_value(prof, o) <= b for o, b in zip(red.objectives, bounds))
+    assert all(OBJECTIVES[o](prof.values) <= b for o, b in zip(red.objectives, bounds))
     return alloc
 
 
@@ -721,7 +715,7 @@ def witness_extract(kind: str, source, alloc: Allocation):
     # Only the first bound is checked: the two-agent gadget's max bound n
     # implies its sum bound 2n, so the sum check accepts both decisions.
     objective = red.objectives[0]
-    value = _value(prof, objective)
+    value = OBJECTIVES[objective](prof.values)
     if value > bound:
         word = "total" if objective == "sum" else "max"
         raise PreconditionError(f"{word} dissatisfaction {value} exceeds bound {bound}")

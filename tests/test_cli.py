@@ -1,5 +1,6 @@
 """Command line behavior: reports, exit codes, determinism."""
 
+import ast
 import hashlib
 import importlib
 import json
@@ -201,6 +202,26 @@ class TestSolve:
         assert code == 4
         assert out == ""
         assert "gamma = 7 exceeds the junction limit 6" in err
+
+    def test_refuses_a_document_past_the_reach_budget_before_any_graph(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 92,682**2 passes 2**33: one arc-free agent would need over
+        # 0.5 GiB of reach masks.
+        built, build = [], core.PreferenceGraph.__post_init__
+
+        def counted(g):
+            built.append(g)
+            build(g)
+
+        monkeypatch.setattr(core.PreferenceGraph, "__post_init__", counted)
+        items = [f"i{j}" for j in range(92_682)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"items": items, "agents": [{"id": "x", "items": items}]}))
+        code, out, err = run(capsys, "solve", str(path), "--objective", "sum")
+        assert (code, out, built) == (4, "", [])
+        reason = f"graphs' reach masks would pass {2**33} bits (at agents[0])"
+        assert err == f"error: instance too large: {reason}\n"
 
     def test_auto_route_refuses_items_past_the_search_depth(
         self, tmp_path, capsys, monkeypatch
@@ -752,6 +773,30 @@ def test_unused_imports_are_benchmark_wraps(monkeypatch):
     }
     assert kept  # the pattern still finds the marked imports
     assert sorted(kept - wrapped) == []
+
+
+def test_every_module_level_import_is_read():
+    """Each name a `src/prefalloc` module imports at top level is read in
+    it, except on the lines kept for the benchmark's tracer (above)."""
+    unread = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "prefalloc").glob("*.py")):
+        if path.name == "__init__.py":  # re-exports
+            continue
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            if "noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).partition(".")[0]
+                if name not in read:
+                    unread.append(f"{path.name}:{node.lineno} {name}")
+    assert unread == []
 
 
 # sha256 over the `service.handle` responses to the first 120 requests of

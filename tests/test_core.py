@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefalloc import randgen
+from prefalloc import core, randgen
 from prefalloc.cli import main
 from prefalloc.core import (
     Allocation,
@@ -18,6 +18,7 @@ from prefalloc.core import (
     ParseError,
     PreconditionError,
     PreferenceGraph,
+    SizeGuardError,
     ValidationError,
     dissatisfaction,
     parse_allocation,
@@ -192,6 +193,15 @@ class TestDissatisfaction:
         with pytest.raises(ValidationError):
             satisfaction(worked, bad, "1")
 
+    def test_unknown_agent_is_refused_after_validation(self, worked):
+        # Both read the agent off the profile, so an invalid allocation is
+        # reported first, then an agent the instance does not have.
+        for measure in (dissatisfaction, satisfaction):
+            with pytest.raises(PreconditionError, match="^unknown agent 'zz'$"):
+                measure(worked, Allocation.empty(), "zz")
+            with pytest.raises(ValidationError):
+                measure(worked, Allocation.of({"1": {"a"}, "2": {"a"}}), "zz")
+
     def test_profile_tuple_follows_agent_order(self, worked):
         prof = profile(worked, Allocation.of({"2": {"b"}}))
         assert prof.agents == ("1", "2", "3")
@@ -349,6 +359,21 @@ def test_parse_error_contract(case, tmp_path, capsys):
 def test_other_json_parsers_raise_parse_error(parse, text, named):
     with pytest.raises(ParseError, match=named):
         parse(text)
+
+
+def test_reach_budget_refuses_the_agent_that_passes_it(monkeypatch):
+    # An n-item graph counts n**2 bits; using the budget up is allowed.
+    def doc(*sizes):
+        agents = [
+            {"id": f"a{i}", "items": [f"{i}.{j}" for j in range(n)]} for i, n in enumerate(sizes)
+        ]
+        return json.dumps({"items": [v for a in agents for v in a["items"]], "agents": agents})
+
+    monkeypatch.setattr(core, "_REACH_BUDGET", 9)
+    assert parse_instance(doc(2, 2, 1)).num_items == 5
+    message = r"^graphs' reach masks would pass 9 bits \(at agents\[2\]\)$"
+    with pytest.raises(SizeGuardError, match=message):
+        parse_instance(doc(2, 2, 2))
 
 
 def test_rejected_instance_warns_about_nothing(recwarn):

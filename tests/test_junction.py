@@ -19,15 +19,33 @@ from prefalloc.junction import (
     minsum_few_junctions,
 )
 from prefalloc.kernels import max_profit_flow
-from prefalloc.polyalgos import _chain_network, minsum_disjoint_paths
+from prefalloc.polyalgos import (
+    _chain_network,
+    minsum_directed_matchings,
+    minsum_disjoint_paths,
+    minsum_paths,
+)
 
 from conftest import graph, instance, ladder_instance
 
 
 def test_no_junctions_behaves_like_path_solver():
+    # At gamma = 0 each agent has one case: every chain open, no group.  So
+    # the route builds the path-forest routes' chain network and returns
+    # their value and witness.
     g = graph("abcd", [("a", "b"), ("c", "d")])
     inst = instance({"x": g, "y": g})
-    assert minsum_few_junctions(inst).value == minsum_disjoint_paths(inst).value
+    assert minsum_few_junctions(inst) == minsum_disjoint_paths(inst)
+    rng = random.Random("gamma-0")
+    for shape, solver in [
+        ("matching", minsum_directed_matchings),
+        ("path", minsum_paths),
+        ("disjoint-paths", minsum_disjoint_paths),
+    ]:
+        for _ in range(60):
+            inst = randgen.random_instance(rng, shape, rng.randint(2, 10), rng.randint(1, 4))
+            assert junction_count(inst) == 0
+            assert minsum_few_junctions(inst) == solver(inst)
 
 
 def test_single_diamond():
@@ -157,7 +175,7 @@ def test_price_bound_lies_between_assignment_and_chain_item_sums(seed):
         # depth t of an m-item chain gaining m - t.
         for c in guess.values():
             assert all([g for _, g in full] == list(range(len(full), 0, -1)) for full in c.rows)
-        arcs, _ = _chain_network([(None, row, "t") for row in rows])
+        arcs, _ = _chain_network([(None, row, None) for row in rows], [])
         feasible, relaxed, _ = max_profit_flow(arcs, "s", "t")
         assert feasible
         full_rows = [full for c in guess.values() for full in c.rows]
