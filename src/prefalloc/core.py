@@ -215,55 +215,38 @@ class PreferenceGraph:
 
 @dataclass(frozen=True)
 class Instance:
-    """A pool of items plus one preference graph per agent.
+    """One preference graph per agent; the item pool is their vertices.
 
-    The agents are the keys of `graphs`.  `items` and the derived `agents`
-    are kept in sorted order; that order is the canonical one used for
-    serialization, witness tie-breaking and profile coordinates, and
+    The agents are the keys of `graphs` and the items the union of the
+    graphs' items, both in sorted order: the canonical order used for
+    serialization, witness tie-breaking and profile coordinates.
     `position[v]` is item v's index in `items`.
     """
 
-    items: tuple[ItemId, ...]
+    items: tuple[ItemId, ...] = field(init=False)
     agents: tuple[AgentId, ...] = field(init=False)
     graphs: Mapping[AgentId, PreferenceGraph]
     position: dict[ItemId, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        items = tuple(sorted(self.items))
-        agents = tuple(sorted(self.graphs))
-        position = {v: i for i, v in enumerate(items)}
+        items = tuple(sorted(set().union(*(g.items for g in self.graphs.values()))))
         object.__setattr__(self, "items", items)
-        object.__setattr__(self, "agents", agents)
-        object.__setattr__(self, "position", position)
-        if len(position) != len(items):
-            raise ParseError("duplicate item ids")
-        desired = set()
-        for a in agents:
-            g = self.graphs[a]
-            extra = g.items.difference(position)
-            if extra:
-                raise ParseError(
-                    f"agent {a!r} desires unknown items {sorted(extra)[:4]}"
-                )
-            desired |= g.items
-        undesired = position.keys() - desired
-        if undesired:
-            raise ParseError(
-                f"items desired by no agent: {sorted(undesired)[:4]}; "
-                "normalize with Instance.build"
-            )
+        object.__setattr__(self, "agents", tuple(sorted(self.graphs)))
+        object.__setattr__(self, "position", {v: i for i, v in enumerate(items)})
 
     @classmethod
     def build(
         cls, items: Iterable[ItemId], graphs: Mapping[AgentId, PreferenceGraph]
     ) -> "Instance":
-        """Normalizing constructor: drops items no agent desires (with a warning)."""
-        items = set(items)
-        desired = set()
-        for g in graphs.values():
-            desired |= g.items
-        inst = cls(items & desired, dict(graphs))
-        dropped = items - desired
+        """Instance of `graphs` checked against a declared pool: refuses a graph
+        item outside `items` and drops, with a warning, the items no graph holds."""
+        inst = cls(dict(graphs))
+        items = frozenset(items)
+        for a in inst.agents:
+            extra = inst.graphs[a].items - items
+            if extra:
+                raise ParseError(f"agent {a!r} desires unknown items {sorted(extra)[:4]}")
+        dropped = items - inst.position.keys()
         if dropped:  # only once the instance is valid
             warnings.warn(
                 f"dropping {len(dropped)} item(s) desired by no agent: "
@@ -417,11 +400,24 @@ def profile(inst: Instance, alloc: Allocation) -> DissatisfactionProfile:
 # -- JSON interchange ----------------------------------------------------
 
 
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a key the dict would overwrite."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"invalid JSON: duplicate key {key!r}")
+            seen.add(key)
+    return out
+
+
 def load_json(text: str | bytes):
     """`json.loads`, raising ParseError on malformed, over-deep or non-UTF-8
-    input and on integers too long to convert."""
+    input, on a key repeated in one object and on integers too long to
+    convert."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", f"line {e.lineno}") from None
     except RecursionError:
@@ -460,10 +456,11 @@ def parse_instance(text: str | bytes) -> Instance:
     Shape: {"items": [...], "agents": [{"id": ..., "items": [...],
     "arcs": [[tail, head], ...]}, ...]}.  Items desired by no agent are
     dropped with a NormalizationWarning.  Only the document's shape and
-    the duplicates that sets would silently merge are checked here;
-    unknown items, arc endpoints, self-loops and cycles are rejected by
-    `PreferenceGraph` and `Instance`.  A document whose graphs would pass
-    `_REACH_BUDGET` is refused with SizeGuardError before that graph is built.
+    the duplicates that sets would silently merge are checked here; arc
+    endpoints, self-loops and cycles are rejected by `PreferenceGraph`,
+    agent items outside the pool by `Instance.build`.  A document whose
+    graphs would pass `_REACH_BUDGET` is refused with SizeGuardError
+    before that graph is built.
     """
     data = load_json(text)
     _expect(isinstance(data, dict), "top level must be an object", "$")

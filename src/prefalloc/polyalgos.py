@@ -245,7 +245,7 @@ def minsum_two_star_forests(inst: Instance) -> SolveResult:
     pre = preassign_two_star_forests(inst)  # checks the shape and agent count
     a1, a2 = inst.agents
     g = {a1: inst.graphs[a1], a2: inst.graphs[a2]}
-    dom0 = {a: g[a].dominated_mask(pre.get(a) & g[a].items) for a in (a1, a2)}
+    dom0 = {a: g[a].dominated_mask(pre.get(a)) for a in (a1, a2)}
     taken = pre.assigned_items()
 
     def weight(v: str, a: str) -> int:

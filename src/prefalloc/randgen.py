@@ -116,7 +116,7 @@ def random_instance(
     pool = _pool(num_items)
     builder = _BUILDERS[shape]
     graphs = {a: builder(rng, pool) for a in _agent_names(num_agents)}
-    return Instance(frozenset().union(*(g.items for g in graphs.values())), graphs)
+    return Instance(graphs)
 
 
 def _weak_components(
@@ -174,4 +174,4 @@ def junction_bounded_instance(
         a: PreferenceGraph(frozenset(verts), frozenset(arcs))
         for a, (verts, arcs) in raw.items()
     }
-    return Instance(frozenset().union(*(g.items for g in graphs.values())), graphs)
+    return Instance(graphs)

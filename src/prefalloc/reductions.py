@@ -274,7 +274,6 @@ def gen_minmax_outstars(source: X3CInstance) -> tuple[Instance, int]:
     hubs = [f"h:{i}" for i in range(1, ell + 2)]
     sets_ = [f"c:{j}" for j in range(1, p + 1)]
     elems = {e: f"x:{e}" for e in source.elements}
-    items = hubs + sets_ + list(elems.values())
 
     graphs: dict[str, PreferenceGraph] = {}
     star = PreferenceGraph(
@@ -292,7 +291,7 @@ def gen_minmax_outstars(source: X3CInstance) -> tuple[Instance, int]:
             frozenset((sets_[j - 1], leaf) for leaf in leaves),
         )
 
-    inst = Instance(items, graphs)
+    inst = Instance(graphs)
     assert all(GraphClass.OUT_STAR in g.classes for g in inst.graphs.values())
     return inst, ell
 
@@ -318,8 +317,7 @@ def gen_minsum_outtrees(source: X3CInstance) -> tuple[Instance, int]:
     sets_ = [f"c:{j}" for j in range(1, p + 1)]
     elems = {e: f"x:{e}" for e in source.elements}
     sink = "e"
-    items = hubs + sets_ + list(elems.values()) + [sink]
-    full = frozenset(items)
+    full = frozenset([*hubs, *sets_, *elems.values(), sink])
 
     path_a = list(elems.values()) + sets_
     path_b = list(elems.values())
@@ -351,7 +349,7 @@ def gen_minsum_outtrees(source: X3CInstance) -> tuple[Instance, int]:
         arcs += _chain([third, *hubs[2 * depth - 2 : top], *path_j, sink])
         graphs[f"C:{j}"] = PreferenceGraph(full, frozenset(arcs))
 
-    inst = Instance(items, graphs)
+    inst = Instance(graphs)
     assert all(
         g.items == full and GraphClass.OUT_TREE in g.classes for g in inst.graphs.values()
     )
@@ -375,8 +373,7 @@ def gen_two_agents_sat(formula: Cnf3Formula) -> tuple[Instance, int, int]:
     neg = [f"nv:{i}" for i in range(1, n + 1)]
     dum = [f"u:{i}" for i in range(1, n + 1)]
     cls = [f"c:{j}" for j in range(1, m + 1)]
-    items = pos + neg + dum + cls
-    full = frozenset(items)
+    full = frozenset(pos + neg + dum + cls)
 
     arcs1 = []
     for j, clause in enumerate(formula.clauses, start=1):
@@ -388,7 +385,7 @@ def gen_two_agents_sat(formula: Cnf3Formula) -> tuple[Instance, int, int]:
         "1": PreferenceGraph(full, frozenset(arcs1)),
         "2": PreferenceGraph(full, frozenset(arcs2)),
     }
-    inst = Instance(items, graphs)
+    inst = Instance(graphs)
     assert all(g.items == full for g in inst.graphs.values())
     return inst, 2 * n, n
 
@@ -417,7 +414,6 @@ def gen_minmax_matchings(source: X3CInstance) -> tuple[Instance, int]:
     blk1 = [f"b1:{j}" for j in range(1, p + 1)]
     snk = [f"e:{j}" for j in range(1, p + 1)]
     elems = {e: f"x:{e}" for e in source.elements}
-    items = list(elems.values()) + hubs + toks + sets_ + blk0 + blk1 + snk
 
     def matching(arcs: list[tuple[str, str]]) -> PreferenceGraph:
         return PreferenceGraph(
@@ -447,7 +443,7 @@ def gen_minmax_matchings(source: X3CInstance) -> tuple[Instance, int]:
             ]
         )
 
-    inst = Instance(items, graphs)
+    inst = Instance(graphs)
     assert ell % 2 == 0
     assert all(GraphClass.DIRECTED_MATCHING in g.classes for g in inst.graphs.values())
     return inst, ell
@@ -475,7 +471,6 @@ def gen_minmax_two_paths_sat(formula: Cnf3Formula) -> tuple[Instance, int]:
     mark = {(i, j): f"v:{i}:{j}" for i in range(1, n + 1) for j in range(1, m + 1)}
     lit = {(i, j): f"lit:{i}:{j}" for i in range(1, n + 1) for j in range(1, m + 1)}
     nlit = {(i, j): f"nlit:{i}:{j}" for i in range(1, n + 1) for j in range(1, m + 1)}
-    items = zs + list(mark.values()) + list(lit.values()) + list(nlit.values())
 
     graphs: dict[str, PreferenceGraph] = {}
     zpath = PreferenceGraph(frozenset(zs), frozenset(_chain(zs)))
@@ -493,7 +488,7 @@ def gen_minmax_two_paths_sat(formula: Cnf3Formula) -> tuple[Instance, int]:
         ]
         graphs[f"c:{j}"] = PreferenceGraph(frozenset(seq), frozenset(_chain(seq)))
 
-    inst = Instance(items, graphs)
+    inst = Instance(graphs)
     for g in inst.graphs.values():
         assert GraphClass.DISJOINT_PATHS in g.classes and len(g.items) <= 5
         assert g.indeg.count(0) <= 2

@@ -2,11 +2,19 @@
 
 import itertools
 import runpy
+import warnings
 from pathlib import Path
 
 import pytest
 
-from prefalloc.core import Allocation, Instance, PreferenceGraph, profile
+from prefalloc.core import (
+    Allocation,
+    Instance,
+    PreferenceGraph,
+    parse_instance,
+    profile,
+    serialize_instance,
+)
 
 
 def graph(items, arcs=()) -> PreferenceGraph:
@@ -24,10 +32,15 @@ def reachable(g: PreferenceGraph, v) -> set:
 
 
 def instance(graphs: dict) -> Instance:
-    pool = set()
-    for g in graphs.values():
-        pool |= g.items
-    return Instance.build(pool, graphs)
+    return Instance(graphs)
+
+
+def reparsed(inst: Instance) -> Instance:
+    """`inst` serialized and parsed back; a NormalizationWarning fails the
+    call, so the document's declared pool is exactly `inst.items`."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return parse_instance(serialize_instance(inst))
 
 
 _JOIN = graph("abc", [("a", "c"), ("b", "c")])

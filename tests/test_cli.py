@@ -106,6 +106,17 @@ class TestSolve:
         assert code == 0
         assert "value      1" in out
 
+    def test_table_reports_decision_and_wall_time(self, worked_path, capsys):
+        code, out, _ = run(
+            capsys, "solve", worked_path, "--objective", "max", "--table",
+            "--threshold", "0", "--timing"
+        )
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[5] == "decision   no (threshold 0)"
+        assert re.fullmatch(r"wall_ms    \d+\.?\d*", lines[6])
+        assert lines[7] == "agent 1: delta 1, holds b, c"
+
     def test_timing_flag_adds_wall_time(self, worked_path, capsys):
         _, out, _ = run(
             capsys, "solve", worked_path, "--objective", "max", "--timing"
@@ -337,6 +348,37 @@ def test_bad_reduction_source_is_bad_input(case, tmp_path, capsys):
     assert named in err
 
 
+# A repeated key would keep only its last value; each document type refuses it.
+REPEATED_KEYS = {
+    "allocation-agent": (
+        ["eval", "WORKED", "BAD"],
+        '{"allocation": {"1": ["a"], "1": ["b"]}}',
+        "error: bad allocation: invalid JSON: duplicate key '1'\n",
+    ),
+    "instance-arcs": (
+        ["solve", "BAD", "--objective", "sum"],
+        '{"items": ["a", "b"], "agents": [{"id": "1", "items": ["a", "b"],'
+        ' "arcs": [["a", "b"]], "arcs": [["b", "a"]]}]}',
+        "error: bad instance: invalid JSON: duplicate key 'arcs'\n",
+    ),
+    "x3c-ground": (
+        ["generate", "--reduction", "x3c-stars", "BAD"],
+        '{"X": ["e1", "e2", "e3"], "X": ["e4", "e5", "e6"], "C": [["e4", "e5", "e6"]]}',
+        "error: invalid JSON: duplicate key 'X'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_KEYS))
+def test_repeated_json_key_is_bad_input(case, worked_path, tmp_path, capsys):
+    argv, content, want = REPEATED_KEYS[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    paths = {"BAD": str(bad), "WORKED": worked_path}
+    code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert (code, out, err) == (2, "", want)
+
+
 class TestEval:
     def test_profile_output(self, worked_path, tmp_path, capsys):
         alloc = tmp_path / "alloc.json"
@@ -494,6 +536,20 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "--random", "path")
         assert code == 2
         assert "--items" in err
+
+    def test_random_refuses_one_item(self, capsys):
+        code, out, err = run(
+            capsys, "generate", "--random", "path", "--items", "1", "--agents", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: need at least 2 items and 1 agent\n"
+
+    def test_reduction_requires_a_source(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["generate", "--reduction", "x3c-stars"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "prefalloc: error: --reduction requires a source path (or -)"
 
     def test_reduction_emits_instance_and_bounds(self, tmp_path, capsys):
         src = tmp_path / "cover.json"

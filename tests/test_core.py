@@ -79,18 +79,19 @@ class TestPreferenceGraph:
 
 class TestInstance:
     def test_rejects_graph_item_outside_pool(self):
-        with pytest.raises(ParseError):
-            Instance(("a",), {"x": graph("ab")})
-
-    def test_rejects_undesired_items(self):
-        with pytest.raises(ParseError):
-            Instance(("a", "b"), {"x": graph("a")})
+        with pytest.raises(ParseError, match=r"^agent 'x' desires unknown items \['b'\]$"):
+            Instance.build(("a",), {"y": graph("a"), "x": graph("ab")})
 
     def test_agents_are_the_sorted_graph_keys(self):
-        inst = Instance(("b", "a"), {"y": graph("b"), "x": graph("a")})
+        inst = Instance({"y": graph("b"), "x": graph("a")})
         assert inst.agents == ("x", "y")
         assert inst.items == ("a", "b")
         assert inst.position == {"a": 0, "b": 1}
+
+    def test_items_are_the_union_of_the_graphs_items(self):
+        inst = Instance({"y": graph("cb", [("c", "b")]), "x": graph("ab")})
+        assert inst.items == ("a", "b", "c")
+        assert Instance({}).items == ()
 
     def test_build_drops_undesired_with_warning(self):
         with pytest.warns(NormalizationWarning):
@@ -149,6 +150,10 @@ class TestValidation:
     def test_unknown_agent(self, worked):
         bad = Allocation.of({"9": {"a"}})
         assert any("unknown agent" in v for v in validate_allocation(worked, bad))
+
+    def test_unknown_item(self, worked):
+        bad = Allocation.of({"1": {"a", "zz"}})
+        assert validate_allocation(worked, bad) == ["unknown item 'zz' (agent '1')"]
 
     def test_undesired_item(self, worked):
         bad = Allocation.of({"2": {"a"}})
@@ -316,6 +321,10 @@ PARSE_ERRORS = {
     "duplicate-agent-items": (_set(["agents", 0, "items"], ["a", "b", "a"]), "'a'"),
     "duplicate-arcs": (_set(["agents", 0, "arcs"], [["a", "b"], ["a", "b"]]), "('a', 'b')"),
     "duplicate-agent-ids": (_set(["agents", 1, "id"], "1"), "'1'"),
+    "non-string-agent-item": (
+        _set(["agents", 0, "items"], ["a", 2]),
+        Whole("item ids must be strings (at agents[0].items[1])"),
+    ),
     "non-string-arc-end": (_set(["agents", 0, "arcs"], [["a", 3]]), "agents[0].arcs[0]"),
     "arc-not-a-pair": (_set(["agents", 0, "arcs"], [["a", "b", "c"]]), "agents[0].arcs[0]"),
     "empty-item-id": (_set(["items"], ["a", "", "b", "c"]), "items[1]"),
@@ -353,8 +362,9 @@ def test_parse_error_contract(case, tmp_path, capsys):
         (DEEP, "nesting too deep"),
         (b'["\xff"]', "UTF-8"),
         ("[" + "1" * 5000 + "]", "too many digits"),
+        ('{"k": [], "k": []}', "^invalid JSON: duplicate key 'k'$"),
     ],
-    ids=["malformed", "too-deep", "not-utf8", "oversized-integer"],
+    ids=["malformed", "too-deep", "not-utf8", "oversized-integer", "repeated-key"],
 )
 def test_other_json_parsers_raise_parse_error(parse, text, named):
     with pytest.raises(ParseError, match=named):

@@ -7,6 +7,8 @@ import pytest
 from prefalloc import classify, randgen
 from prefalloc.core import GraphClass, PreconditionError, serialize_instance
 
+from conftest import reparsed
+
 CHECKS = {
     "matching": GraphClass.DIRECTED_MATCHING,
     "path": GraphClass.PATH,
@@ -29,6 +31,21 @@ def test_shapes_pass_their_class_check(shape, seed):
         assert g.items
         if shape in CHECKS:
             assert CHECKS[shape] in g.classes, f"{shape} builder broke its own class"
+
+
+@pytest.mark.parametrize("shape", randgen.SHAPES)
+@pytest.mark.parametrize("seed", range(4))
+def test_random_instances_round_trip(shape, seed):
+    rng = random.Random(seed)
+    inst = randgen.random_instance(rng, shape, rng.randint(2, 10), rng.randint(1, 4))
+    assert reparsed(inst) == inst
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_junction_bounded_instances_round_trip(seed):
+    rng = random.Random(seed)
+    inst = randgen.junction_bounded_instance(rng, rng.randint(3, 9), rng.randint(1, 3), 3)
+    assert reparsed(inst) == inst
 
 
 def test_same_seed_same_instance():

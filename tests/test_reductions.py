@@ -29,6 +29,8 @@ from prefalloc.reductions import (
     witness_extract,
 )
 
+from conftest import reparsed
+
 TRIPLE = ("e1", "e2", "e3")
 COVER_Q1 = X3CInstance(TRIPLE, (TRIPLE, TRIPLE, TRIPLE))
 
@@ -125,6 +127,11 @@ class TestCnf3Formula:
         assert satisfies(SAT, model)
         assert satisfying_assignment(UNSAT) is None
 
+    def test_satisfying_assignment_is_capped(self):
+        wide = Cnf3Formula(21, ((1, 2, 21),))
+        with pytest.raises(PreconditionError, match="^truth-table search is capped at 20 variables$"):
+            satisfying_assignment(wide)
+
 
 class TestParsers:
     def test_parse_x3c_round_trip(self):
@@ -171,6 +178,19 @@ class TestParsers:
         assert info.value.location == location
         assert "strings or integers" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "top level must be an object (at $)"),
+            ('{"X": "e1", "C": []}', "expected a list of elements (at X)"),
+        ],
+        ids=["not-an-object", "ground-not-a-list"],
+    )
+    def test_parse_x3c_refusal_texts(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_x3c(text)
+        assert str(info.value) == message
+
     def test_parse_dimacs_basic(self):
         text = "c comment\np cnf 4 2\n1 -3 -4 0\n-1 2 -4 0\n"
         assert parse_dimacs(text) == SAT
@@ -194,6 +214,24 @@ class TestParsers:
     def test_parse_dimacs_rejects_junk_token(self):
         with pytest.raises(ParseError):
             parse_dimacs("p cnf 3 1\n1 two 3 0\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p cnf 3 1\np cnf 3 1\n1 2 3 0\n", "duplicate header (at line 2)"),
+            ("c x\np cnf 3\n1 2 3 0\n", "header must read 'p cnf <vars> <clauses>' (at line 2)"),
+            ("p dnf 3 1\n1 2 3 0\n", "header must read 'p cnf <vars> <clauses>' (at line 1)"),
+            ("p cnf 3 one\n1 2 3 0\n", "header counts must be integers (at line 1)"),
+            ("c only a comment\n\n", "missing 'p cnf' header (at line 1)"),
+            ("p cnf 3 1\n1 2 3\n", "last clause is not 0-terminated (at clauses)"),
+        ],
+        ids=["duplicate-header", "short-header", "not-cnf", "non-integer-count",
+             "missing-header", "unterminated-clause"],
+    )
+    def test_parse_dimacs_refusal_texts(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_dimacs(text)
+        assert str(info.value) == message
 
     def test_parse_dimacs_bytes(self):
         assert parse_dimacs(b"p cnf 3 1\n1 2 3 0\n") == Cnf3Formula(3, ((1, 2, 3),))
@@ -391,6 +429,21 @@ def test_extract_refuses_invalid_and_unmet_allocations(kind, source, cert, messa
         witness_extract(kind, source, stray)
     with pytest.raises(PreconditionError, match=message):
         witness_extract(kind, source, Allocation.empty())
+
+
+GADGETS = [
+    (gen_minmax_outstars, COVER_Q1),
+    (gen_minsum_outtrees, COVER_Q1),
+    (gen_two_agents_sat, SAT),
+    (gen_minmax_matchings, COVER_Q2),
+    (gen_minmax_two_paths_sat, DISTINCT_SAT),
+]
+
+
+@pytest.mark.parametrize("generate, source", GADGETS, ids=[g.__name__ for g, _ in GADGETS])
+def test_gadgets_round_trip(generate, source):
+    inst = generate(source)[0]
+    assert reparsed(inst) == inst
 
 
 def test_all_generated_graphs_pass_their_class_check():
