@@ -13,6 +13,7 @@ import json
 import random
 import sys
 import time
+import warnings
 
 from . import classify, exact, randgen, reductions
 from .core import (
@@ -59,12 +60,19 @@ def _read_text(path: str) -> str:
 
 
 def _load_instance(path: str) -> Instance:
+    """Parse the instance at `path`, printing each warning as one stderr line."""
+    text = _read_text(path)
     try:
-        return parse_instance(_read_text(path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            inst = parse_instance(text)
     except ParseError as exc:
         raise _CliError(EXIT_INPUT, f"bad instance: {exc}") from None
     except SizeGuardError as exc:
         raise _CliError(EXIT_TOO_LARGE, f"instance too large: {exc}") from None
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return inst
 
 
 def _emit(text: str) -> None:
@@ -209,6 +217,8 @@ def _generate_random(args: argparse.Namespace) -> int:
         inst = randgen.random_instance(rng, args.random, args.items, args.agents)
     except PreconditionError as exc:
         raise _CliError(EXIT_INPUT, str(exc)) from None
+    except SizeGuardError as exc:
+        raise _CliError(EXIT_TOO_LARGE, f"instance too large: {exc}") from None
     _emit(serialize_instance(inst))
     print(
         f"random {args.random}: items={args.items} agents={args.agents}"

@@ -510,20 +510,40 @@ def parse_instance(text: str | bytes) -> Instance:
     return Instance.build(items, graphs)
 
 
+def _array(rows: list[str], pad: str) -> str:
+    """JSON array of encoded rows, laid out as `json.dumps(indent=2)` lays
+    out an array whose key or opening bracket is indented by `pad`."""
+    if not rows:
+        return "[]"
+    return f"[\n{pad}  " + f",\n{pad}  ".join(rows) + f"\n{pad}]"
+
+
 def serialize_instance(inst: Instance) -> str:
-    """Canonical JSON for an instance: sorted ids, sorted arc lists."""
-    payload = {
-        "items": list(inst.items),
-        "agents": [
-            {
-                "id": a,
-                "items": list(inst.graphs[a].sorted_items),
-                "arcs": [list(arc) for arc in sorted(inst.graphs[a].arcs)],
-            }
-            for a in inst.agents
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """Canonical JSON for an instance: sorted ids, sorted arc lists.
+
+    The text is byte for byte `json.dumps(payload, indent=2) + "\n"` of
+    {"items": [...], "agents": [{"id", "items", "arcs"}, ...]}, but written
+    here: with any indent, `json.dumps` leaves its C encoder for a
+    pure-Python one, and only the id strings need json's (C) escaping.
+    """
+    quote = json.encoder.encode_basestring_ascii
+    agents = []
+    for a in inst.agents:
+        g = inst.graphs[a]
+        ids = [quote(v) for v in g.sorted_items]
+        # outs lists heads in position order, and positions follow the ids'
+        # sort order, so the arcs come out sorted
+        arcs = [
+            f"[\n          {ids[i]},\n          {ids[j]}\n        ]"
+            for i, heads in enumerate(g.outs)
+            for j in heads
+        ]
+        agents.append(
+            f'{{\n      "id": {quote(a)},\n      "items": {_array(ids, "      ")},'
+            f'\n      "arcs": {_array(arcs, "      ")}\n    }}'
+        )
+    items = _array([quote(v) for v in inst.items], "  ")
+    return f'{{\n  "items": {items},\n  "agents": {_array(agents, "  ")}\n}}\n'
 
 
 def parse_allocation(text: str | bytes) -> Allocation:

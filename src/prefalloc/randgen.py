@@ -12,10 +12,19 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 
-from .core import Instance, PreconditionError, PreferenceGraph
+from .core import _REACH_BUDGET, Instance, PreconditionError, PreferenceGraph, SizeGuardError
 
 
-def _pool(num_items: int) -> list[str]:
+def _pool(num_items: int, num_agents: int) -> list[str]:
+    """The pool "i1".."iN", once the sizes are checked: at least 2 items and
+    1 agent, and no more graph bits than parsing accepts (see _REACH_BUDGET)."""
+    if num_items < 2 or num_agents < 1:
+        raise PreconditionError("need at least 2 items and 1 agent")
+    if num_agents * num_items**2 > _REACH_BUDGET:
+        raise SizeGuardError(
+            f"graphs' reach masks could pass {_REACH_BUDGET} bits"
+            f" ({num_agents} agent(s) over {num_items} items)"
+        )
     return [f"i{k}" for k in range(1, num_items + 1)]
 
 
@@ -43,14 +52,21 @@ def path_graph(rng: random.Random, pool: list[str]) -> PreferenceGraph:
     return PreferenceGraph(frozenset(verts), frozenset(arcs))
 
 
-def disjoint_paths_graph(rng: random.Random, pool: list[str]) -> PreferenceGraph:
+def _disjoint_paths(
+    rng: random.Random, pool: list[str]
+) -> tuple[list[str], list[tuple[str, str]]]:
+    """Sampled vertices, in sample order, and the arcs that chain them into paths."""
     verts = _sample(rng, pool, rng.randint(1, len(pool)))
     arcs = []
     for t in range(len(verts) - 1):
         # run another arc or cut the path here
         if rng.random() < 0.6:
             arcs.append((verts[t], verts[t + 1]))
-    return PreferenceGraph(frozenset(verts), frozenset(arcs))
+    return verts, arcs
+
+
+def disjoint_paths_graph(rng: random.Random, pool: list[str]) -> PreferenceGraph:
+    return PreferenceGraph(*_disjoint_paths(rng, pool))
 
 
 def out_star_graph(rng: random.Random, pool: list[str]) -> PreferenceGraph:
@@ -111,28 +127,10 @@ def random_instance(
         raise PreconditionError(
             f"unknown shape {shape!r}; expected one of {', '.join(SHAPES)}"
         )
-    if num_items < 2 or num_agents < 1:
-        raise PreconditionError("need at least 2 items and 1 agent")
-    pool = _pool(num_items)
+    pool = _pool(num_items, num_agents)
     builder = _BUILDERS[shape]
     graphs = {a: builder(rng, pool) for a in _agent_names(num_agents)}
     return Instance(graphs)
-
-
-def _weak_components(
-    verts: list[str], arcs: list[tuple[str, str]]
-) -> dict[str, str]:
-    comp = {v: v for v in verts}
-
-    def find(v: str) -> str:
-        while comp[v] != v:
-            comp[v] = comp[comp[v]]
-            v = comp[v]
-        return v
-
-    for tail, head in arcs:
-        comp[find(tail)] = find(head)
-    return {v: find(v) for v in verts}
 
 
 def junction_bounded_instance(
@@ -149,29 +147,29 @@ def junction_bounded_instance(
     in-degree-0 vertex of a different weak component, so it costs at most
     one junction (at its tail) and cannot close a cycle.
     """
-    if num_items < 2 or num_agents < 1:
-        raise PreconditionError("need at least 2 items and 1 agent")
-    pool = _pool(num_items)
+    pool = _pool(num_items, num_agents)
     agents = _agent_names(num_agents)
-    raw: dict[str, tuple[list[str], list[tuple[str, str]]]] = {}
+    # per agent: its sorted vertices, its arcs, the vertices with an in-arc
+    # and each vertex's weak-component label, kept up to date as arcs land
+    raw = {}
     for a in agents:
-        g = disjoint_paths_graph(rng, pool)
-        raw[a] = (sorted(g.items), list(g.arcs))
-    budget = rng.randint(0, max_junctions)
-    for _ in range(budget):
-        a = rng.choice(agents)
-        verts, arcs = raw[a]
-        comp = _weak_components(verts, arcs)
-        indeg = {v: 0 for v in verts}
-        for _, head in arcs:
-            indeg[head] += 1
+        verts, arcs = _disjoint_paths(rng, pool)
+        headed = {head for _, head in arcs}
+        comp = {}
+        for t, v in enumerate(verts):  # a path runs on until a vertex has no in-arc
+            comp[v] = comp[verts[t - 1]] if v in headed else v
+        raw[a] = (sorted(verts), arcs, headed, comp)
+    for _ in range(rng.randint(0, max_junctions)):  # the extra-arc budget
+        verts, arcs, headed, comp = raw[rng.choice(agents)]
         tail = rng.choice(verts)
-        targets = [v for v in verts if indeg[v] == 0 and comp[v] != comp[tail]]
+        targets = [v for v in verts if v not in headed and comp[v] != comp[tail]]
         if not targets:
             continue
-        arcs.append((tail, rng.choice(targets)))
-    graphs = {
-        a: PreferenceGraph(frozenset(verts), frozenset(arcs))
-        for a, (verts, arcs) in raw.items()
-    }
-    return Instance(graphs)
+        head = rng.choice(targets)
+        arcs.append((tail, head))
+        headed.add(head)
+        merged = comp[head]
+        for v in verts:
+            if comp[v] == merged:
+                comp[v] = comp[tail]
+    return Instance({a: PreferenceGraph(verts, arcs) for a, (verts, arcs, _, _) in raw.items()})

@@ -2,10 +2,11 @@
 
     python tests/ledger.py [TABLE ...]
 
-TABLE is any of constructions, junction_work, chain_flows and oracle
-(all four by default).  Each table is counted by the helper behind its
-tier-1 pin, over the first 120 requests of the benchmark's seed-1
-corpora, so the output of two checkouts can be compared line by line.
+TABLE is any of corpora, constructions, junction_work, chain_flows and
+oracle (all five by default).  Each table comes from the helper behind
+its tier-1 pin: corpora digests the benchmark's full seed-1 corpora, the
+others count work over their first 120 requests, so the output of two
+checkouts can be compared line by line.
 """
 
 import json
@@ -19,6 +20,9 @@ import test_cli  # noqa: E402
 import test_exact  # noqa: E402
 
 TABLES = {
+    "corpora": lambda: {
+        w: test_cli.corpus_digest(w) for w in sorted(test_cli.BENCHMARK_CORPUS_DIGESTS)
+    },
     "constructions": lambda: {
         w: test_cli.constructions(w) for w in sorted(test_cli.BENCHMARK_CONSTRUCTIONS)
     },

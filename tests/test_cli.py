@@ -316,6 +316,22 @@ def test_unreadable_input_is_bad_input(argv, kind, worked_path, tmp_path, capsys
     assert named in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["classify"], ["solve", "--objective", "sum"]], ids=["classify", "solve"]
+)
+def test_dropped_item_warning_is_one_stderr_line(argv, tmp_path, capsys):
+    # The pool names "zz", which no agent holds: the library's warning is
+    # printed as one line, and stdout is what the pool without "zz" gives.
+    doc = {"items": ["a", "b"], "agents": [{"id": "x", "items": ["a", "b"], "arcs": [["a", "b"]]}]}
+    clean, dropping = tmp_path / "clean.json", tmp_path / "dropping.json"
+    clean.write_text(json.dumps(doc))
+    dropping.write_text(json.dumps({**doc, "items": ["a", "b", "zz"]}))
+    want = run(capsys, argv[0], str(clean), *argv[1:])
+    code, out, err = run(capsys, argv[0], str(dropping), *argv[1:])
+    assert (code, out) == want[:2]
+    assert err == "warning: dropping 1 item(s) desired by no agent: ['zz']\n"
+
+
 BAD_SOURCES = {
     "x3c-null": ("x3c-stars", b'{"X": ["a", null, "c"], "C": []}', "X[1]"),
     "x3c-bool": ("x3c-stars", b'{"X": ["a", "b", "c"], "C": [["a", "b", true]]}', "C[0][2]"),
@@ -522,6 +538,37 @@ REDUCTION_SOURCES = {
 }
 
 
+SMALL_OUT_TREE = """{
+  "items": [
+    "i2",
+    "i4"
+  ],
+  "agents": [
+    {
+      "id": "a1",
+      "items": [
+        "i2",
+        "i4"
+      ],
+      "arcs": [
+        [
+          "i2",
+          "i4"
+        ]
+      ]
+    },
+    {
+      "id": "a2",
+      "items": [
+        "i4"
+      ],
+      "arcs": []
+    }
+  ]
+}
+"""
+
+
 class TestGenerate:
     def test_random_is_deterministic(self, capsys):
         args = ("generate", "--random", "path", "--items", "6", "--agents", "2",
@@ -543,6 +590,26 @@ class TestGenerate:
         )
         assert (code, out) == (2, "")
         assert err == "error: need at least 2 items and 1 agent\n"
+
+    def test_small_random_output_is_pinned(self, capsys):
+        code, out, _ = run(
+            capsys, "generate", "--random", "out-tree", "--items", "4", "--agents", "2",
+            "--seed", "3",
+        )
+        assert code == 0
+        assert out == SMALL_OUT_TREE
+
+    @pytest.mark.parametrize("items, agents", [(92682, 1), (65537, 2)])
+    def test_random_refuses_past_the_reach_budget(self, items, agents, capsys):
+        code, out, err = run(
+            capsys, "generate", "--random", "path", "--items", str(items),
+            "--agents", str(agents),
+        )
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: instance too large: graphs' reach masks could pass 8589934592 bits"
+            f" ({agents} agent(s) over {items} items)\n"
+        )
 
     def test_reduction_requires_a_source(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -865,16 +932,42 @@ BENCHMARK_RESPONSE_DIGESTS = {
 }
 
 
-def prefix_requests(workload):
-    """The benchmark's `service` module, this library and the first 120
-    requests of the workload's seed-1 corpus; `perfbench` must be importable."""
+# sha256 over every request of each workload's full seed-1 corpus: its
+# instance text, objective, route, threshold and formula.  The response
+# pins above see neither the requests past the first 120 nor a change in
+# the instance text that parses the same.
+BENCHMARK_CORPUS_DIGESTS = {
+    "tractable-large": "2ee82ffadd7b318c5a840c17a967c8ee72b757c8340da34bfcf7d4504f0a0ea4",
+    "junction-flow": "8ecc8f2c4980552d8da73cb283ce39f4572cab3ca6ba4ab2a46e17deca18ec76",
+    "oracle-gadgets": "a6f534837a06cab5d0a977c8a39efcf15e3a678788fc4297654da5be8de34056",
+}
+
+
+def benchmark_corpus(workload):
+    """The benchmark's `service` module, this library and the workload's
+    seed-1 corpus; `perfbench` must be importable."""
     service = importlib.import_module("service")
     workloads = importlib.import_module("workloads")
     lib = SimpleNamespace(
         **{m: importlib.import_module(f"prefalloc.{m}") for m in service.MODULES}
     )
     corpus, _ = workloads.build(lib, workload, 1)
+    return service, lib, corpus
+
+
+def prefix_requests(workload):
+    """`benchmark_corpus`, cut to the first 120 requests."""
+    service, lib, corpus = benchmark_corpus(workload)
     return service, lib, corpus[:120]
+
+
+def corpus_digest(workload) -> str:
+    _, _, corpus = benchmark_corpus(workload)
+    digest = hashlib.sha256()
+    for req in corpus:
+        fields = [req.instance, req.objective, req.route, req.threshold, req.formula]
+        digest.update(json.dumps(fields).encode() + b"\n")
+    return digest.hexdigest()
 
 
 def benchmark_prefix(workload, monkeypatch):
@@ -922,6 +1015,12 @@ def test_benchmark_responses_are_pinned(workload, monkeypatch):
     for req in requests:
         digest.update(service.handle(lib, req).encode())
     assert digest.hexdigest() == BENCHMARK_RESPONSE_DIGESTS[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_CORPUS_DIGESTS))
+def test_benchmark_corpora_are_pinned(workload, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    assert corpus_digest(workload) == BENCHMARK_CORPUS_DIGESTS[workload]
 
 
 # Construction ledger: `PreferenceGraph` and `Instance` objects built while
@@ -1026,20 +1125,24 @@ def test_benchmark_chain_flows_are_pinned(monkeypatch):
 
 
 def test_benchmark_flow_counts_ignore_the_hash_seed():
-    """`tests/ledger.py` counts the junction and chain-flow tables in fresh
-    interpreters the same whatever their string hash seed, so the pins
-    stand as exact evidence."""
+    """`tests/ledger.py` counts the junction and chain-flow tables and
+    digests the corpora in fresh interpreters the same whatever their
+    string hash seed, so the pins stand as exact evidence."""
     ledger = Path(__file__).parent / "ledger.py"
     procs = {
         seed: subprocess.Popen(
-            [sys.executable, str(ledger), "junction_work", "chain_flows"],
+            [sys.executable, str(ledger), "junction_work", "chain_flows", "corpora"],
             stdout=subprocess.PIPE,
             text=True,
             env={**os.environ, "PYTHONHASHSEED": seed},
         )
         for seed in ("0", "7", "12345")
     }
-    want = {"junction_work": JUNCTION_WORK, "chain_flows": CHAIN_FLOWS}
+    want = {
+        "junction_work": JUNCTION_WORK,
+        "chain_flows": CHAIN_FLOWS,
+        "corpora": BENCHMARK_CORPUS_DIGESTS,
+    }
     try:
         for seed, proc in procs.items():
             out, _ = proc.communicate(timeout=120)
@@ -1048,3 +1151,4 @@ def test_benchmark_flow_counts_ignore_the_hash_seed():
     finally:
         for proc in procs.values():
             proc.kill()
+

@@ -246,6 +246,47 @@ class TestSerialization:
         assert str(info.value) == "duplicate item 'a' (at allocation.x)"
 
 
+def dumped(inst: Instance) -> str:
+    """The bytes `serialize_instance` promises, spelled with `json.dumps`."""
+    payload = {
+        "items": list(inst.items),
+        "agents": [
+            {
+                "id": a,
+                "items": sorted(inst.graphs[a].items),
+                "arcs": [list(arc) for arc in sorted(inst.graphs[a].arcs)],
+            }
+            for a in inst.agents
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# ids json must escape: a quote, a backslash, a newline, non-ASCII (one
+# outside the BMP) and an id that looks like JSON
+ODD = ['"', "\\", "line\nbreak", "caf\u00e9", "\U0001f600", "[x,]"]
+SERIALIZER_CASES = {
+    "no agents": Instance({}),
+    "only an empty graph": Instance({"x": graph("")}),
+    "an empty graph": Instance({"x": graph(""), "y": graph("ab", [("a", "b")])}),
+    "escaped ids": Instance({
+        'a"\\\n\u00e9': graph(ODD, [(ODD[0], ODD[1]), (ODD[3], ODD[5]), (ODD[4], ODD[2])]),
+        "[x,]": graph(ODD[3:], [(ODD[5], ODD[4])]),
+    }),
+    **{
+        f"{shape} draw {seed}": randgen.random_instance(
+            random.Random(seed), shape, 2 + 3 * seed, 1 + seed
+        )
+        for shape in randgen.SHAPES
+        for seed in range(4)
+    },
+}
+
+
+@pytest.mark.parametrize("case", SERIALIZER_CASES)
+def test_serialize_instance_writes_the_json_dumps_bytes(case):
+    assert serialize_instance(SERIALIZER_CASES[case]) == dumped(SERIALIZER_CASES[case])
+
 
 PARSE_BASE = {
     "items": ["a", "b", "c"],

@@ -1,11 +1,12 @@
 """Seeded random instance builders."""
 
+import hashlib
 import random
 
 import pytest
 
 from prefalloc import classify, randgen
-from prefalloc.core import GraphClass, PreconditionError, serialize_instance
+from prefalloc.core import GraphClass, PreconditionError, SizeGuardError, serialize_instance
 
 from conftest import reparsed
 
@@ -74,6 +75,17 @@ def test_tiny_sizes_rejected():
         randgen.random_instance(random.Random(0), "path", 5, 0)
 
 
+@pytest.mark.parametrize("items, agents", [(92682, 1), (65537, 2)])
+def test_sizes_past_the_reach_budget_rejected_before_drawing(items, agents):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(SizeGuardError):
+        randgen.random_instance(rng, "path", items, agents)
+    with pytest.raises(SizeGuardError):
+        randgen.junction_bounded_instance(rng, items, agents, 3)
+    assert rng.getstate() == state
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_junction_bounded_respects_budget(seed):
     rng = random.Random(seed)
@@ -92,3 +104,20 @@ def test_junction_bounded_reaches_positive_gamma():
         if classify.junction_count(inst) > 0:
             hits += 1
     assert hits > 5
+
+
+# sha256 over `serialize_instance` of 200 `junction_bounded_instance` draws
+# that share one generator, so a change in how many numbers a draw takes
+# shows too.  337 of their extra arcs find no target.  Taken while the
+# generator still built a graph per agent to read each draw back.
+JUNCTION_DRAWS_DIGEST = "9b5a8404819370a7b567eca90bda15b150fc299646fcf00c374675f4519b4361"
+
+
+def test_junction_bounded_draws_are_pinned():
+    rng = random.Random(29)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        items, agents, budget = rng.randint(2, 12), rng.randint(1, 6), rng.randint(0, 12)
+        inst = randgen.junction_bounded_instance(rng, items, agents, budget)
+        digest.update(serialize_instance(inst).encode())
+    assert digest.hexdigest() == JUNCTION_DRAWS_DIGEST
