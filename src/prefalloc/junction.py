@@ -44,10 +44,13 @@ item x whose unique best chain is c, so distinct chains name distinct
 items, and that x then gets p_x <= second_x, since its other chains gain
 it at most second_x.  Every other item y has p_y <= best_y.
 
-A guess whose bound does not exceed the incumbent is skipped, and a
-guess stops at the first pick that reaches its bound.  Only a strictly
-better guess or pick replaces the best, so neither skip changes which
-optimum, the first in guess order, is returned.
+The bound takes the chain sum first.  When the fixed satisfaction plus
+it cannot beat the incumbent, the price round, which could only lower
+the bound, is not run.  A guess whose bound does not exceed the
+incumbent is skipped, and a guess stops at the first pick that reaches
+its bound.  Only a strictly better guess or pick replaces the best, so
+neither skip changes which optimum, the first in guess order, is
+returned.
 """
 
 from __future__ import annotations
@@ -58,8 +61,9 @@ from typing import NamedTuple
 from .classify import DEFAULT_GAMMA_LIMIT, junction_count
 from .core import Allocation, Instance, SizeGuardError
 from .core import profile  # noqa: F401  perfbench/tracing.py wraps it by name
-from .kernels import max_profit_flow
-from .polyalgos import SolveResult, _bundles, _chain_network, _chains, _gains
+from .kernels import chain_flow
+from .kernels import max_profit_flow  # noqa: F401  perfbench/tracing.py wraps it by name
+from .polyalgos import SolveResult, _chains, _gains
 
 
 class _Case(NamedTuple):
@@ -94,9 +98,13 @@ def minsum_few_junctions(inst: Instance) -> SolveResult:
         taken = _taken(guess)
         if taken is None:
             continue
-        # Every open chain's row without the junctions the guess hands out.
-        rows = [[(x, gx) for x, gx in full if x not in taken] for c in combo for full in c.rows]
-        bound = _bound(guess, rows)
+        # Every open chain's row without the junctions the guess hands out;
+        # a guess that hands out none shares its cases' rows.
+        if taken:
+            rows = [[(x, gx) for x, gx in full if x not in taken] for c in combo for full in c.rows]
+        else:
+            rows = [full for c in combo for full in c.rows]
+        bound = _bound(guess, rows, best_sat)
         if bound <= best_sat:
             continue
         result = _evaluate_guess(guess, taken, rows, bound)
@@ -108,63 +116,78 @@ def minsum_few_junctions(inst: Instance) -> SolveResult:
 
 def _agent_cases(g) -> list[_Case]:
     """Consistent cases at the junctions of one agent's graph g, in guess order."""
-    js = sorted(g.junctions)
     chains = _chains(g)
-    # Masks over g's items: each junction's bit, strict successors and
-    # strict predecessors.
-    bit = {v: 1 << g.position[v] for v in js}
-    succ = {v: g.reach[g.position[v]] ^ bit[v] for v in js}
-    pred = {v: sum(1 << i for i, r in enumerate(g.reach) if r & bit[v]) ^ bit[v] for v in js}
+    gains = [_gains(ch.items) for ch in chains]
+    js = sorted(g.junctions)
+    if not js:
+        # One case: every chain open and straight to the sink.
+        return [_Case([], 0, [([None] * len(chains), 0)], gains)]
+    # Junction i is bit i of a junction mask.  succ[i] masks its strict
+    # successors among the junctions and pred[i] its strict predecessors;
+    # below[m] is the union of succ over m and reach[m] the items m covers.
+    n = len(js)
+    bits = [1 << g.position[v] for v in js]
+    item_reach = [g.reach[g.position[v]] for v in js]
+    succ = [
+        sum(1 << j for j in range(n) if j != i and r & bits[j]) for i, r in enumerate(item_reach)
+    ]
+    pred = [sum(1 << j for j in range(n) if succ[j] >> i & 1) for i in range(n)]
+    below, reach = [0] * (1 << n), [0] * (1 << n)
+    for m in range(1, 1 << n):
+        low = m & -m
+        i = low.bit_length() - 1
+        below[m], reach[m] = below[m ^ low] | succ[i], reach[m ^ low] | item_reach[i]
+    at = {v: i for i, v in enumerate(js)}
+    ends = [(at.get(ch.start), at.get(ch.end)) for ch in chains]
     out = []
-    for assignment in itertools.product((1, 2, 3, 4), repeat=len(js)):
-        case = dict(zip(js, assignment))
-        by_case = {c: {v for v in js if case[v] == c} for c in (1, 2, 3, 4)}
-        taken, exposed, dead = by_case[1], by_case[3], by_case[4]
-        covered = taken | by_case[2]
-        mask = {c: sum(bit[v] for v in vs) for c, vs in by_case.items()}
+    for assignment in itertools.product(range(4), repeat=n):
+        by_case = [0, 0, 0, 0]  # junction masks of cases 1 to 4
+        for i, c in enumerate(assignment):
+            by_case[c] |= 1 << i
+        taken, covering, exposed, dead = by_case
         # Anything below a covered junction is covered too, and a dead cone
         # admits no allocation above or below the junction.
-        if any(succ[u] & (mask[3] | mask[4]) for u in covered):
+        if below[taken | covering] & (exposed | dead) or below[dead] & (taken | exposed):
             continue
-        if any(succ[w] & (mask[1] | mask[3]) for w in dead):
-            continue
-        auto3 = {v for v in exposed if succ[v] & (mask[1] | mask[3])}
-        auto2 = {v for v in by_case[2] if pred[v] & (mask[1] | mask[2])}
+        auto3 = sum(1 << i for i in range(n) if exposed >> i & 1 and succ[i] & (taken | exposed))
+        auto2 = sum(1 << i for i in range(n) if covering >> i & 1 and pred[i] & (taken | covering))
         open_chains = [
-            ch
-            for ch in chains
-            if (ch.start is None or case[ch.start] == 3)
-            and (ch.end is None or case[ch.end] == 2)
+            c
+            for c, (s, e) in enumerate(ends)
+            if (s is None or exposed >> s & 1) and (e is None or covering >> e & 1)
         ]
-        linking = {(ch.start, ch.end) for ch in open_chains}
+        linking = {ends[c] for c in open_chains}
         # Pairs of promises one chain allocation could fulfill at once.
+        v1s = [i for i in range(n) if exposed >> i & 1]
+        v2s = [i for i in range(n) if covering >> i & 1]
         pairs = [
             (v1, v2)
-            for v1 in sorted(exposed)
-            for v2 in sorted(by_case[2])
-            if (v1, v2) in linking and not (v1 in auto3 and v2 in auto2)
+            for v1 in v1s
+            for v2 in v2s
+            if (v1, v2) in linking and not (auto3 >> v1 & 1 and auto2 >> v2 & 1)
         ]
-        need3, need2 = sorted(exposed - auto3), sorted(by_case[2] - auto2)
+        need3 = [v1 for v1 in v1s if not auto3 >> v1 & 1]
+        need2 = [v2 for v2 in v2s if not auto2 >> v2 & 1]
         # Each pick's groups: its pairs, then every promise it leaves
         # unpaired, on a chain of its own; a promise with no such chain
         # fails in every flow, so the pick is not kept.
         exits = []
         for pick in itertools.product((False, True), repeat=len(pairs)):
             picked = [p for p, on in zip(pairs, pick) if on]
-            v1s, v2s = {v1 for v1, _ in picked}, {v2 for _, v2 in picked}
-            groups = picked + [(v1, None) for v1 in need3 if v1 not in v1s]
-            groups += [(None, v2) for v2 in need2 if v2 not in v2s]
+            paired3, paired2 = {v1 for v1, _ in picked}, {v2 for _, v2 in picked}
+            groups = picked + [(v1, None) for v1 in need3 if v1 not in paired3]
+            groups += [(None, v2) for v2 in need2 if v2 not in paired2]
             if linking.issuperset(groups):
-                k = {ends: i for i, ends in enumerate(groups)}
-                exits.append(([k.get((ch.start, ch.end)) for ch in open_chains], len(groups)))
+                group_of = {e: k for k, e in enumerate(groups)}
+                exits.append(([group_of.get(ends[c]) for c in open_chains], len(groups)))
         if not exits:
             continue
         out.append(
             _Case(
-                sorted(taken),
-                g.dominated_mask(covered).bit_count(),
+                [js[i] for i in range(n) if taken >> i & 1],
+                reach[taken | covering].bit_count(),
                 exits,
-                [_gains(ch.items) for ch in open_chains],
+                [gains[c] for c in open_chains],
             )
         )
     return out
@@ -181,9 +204,18 @@ def _taken(guess: dict[str, _Case]) -> dict[str, str] | None:
     return taken
 
 
-def _bound(guess: dict[str, _Case], rows: list[list[tuple[str, int]]]) -> int:
+def _bound(guess: dict[str, _Case], rows: list[list[tuple[str, int]]], best_sat: int = -1) -> int:
     """Upper bound on the claimed satisfaction of every flow of the guess,
-    whose open chains' rows, less the taken junctions, are `rows`."""
+    whose open chains' rows, less the taken junctions, are `rows`.
+
+    The chain sum comes first: when it cannot beat `best_sat`, the
+    incumbent, it is returned as it stands, since the price round could
+    only lower it.
+    """
+    fixed = sum(c.sat for c in guess.values())
+    by_chain = sum(row[0][1] for row in rows if row)
+    if fixed + by_chain <= best_sat:
+        return fixed + by_chain
     best: dict[str, int] = {}  # item -> its best gain on an open chain
     second: dict[str, int] = {}  # item -> its second-best gain, 0 on one chain
     for row in rows:
@@ -208,9 +240,7 @@ def _bound(guess: dict[str, _Case], rows: list[list[tuple[str, int]]]) -> int:
         for x, gx in row:
             if gx - qc > p.get(x, 0):
                 p[x] = gx - qc
-    by_chain = sum(row[0][1] for row in rows if row)
     by_price = sum(q) + sum(p.values())
-    fixed = sum(c.sat for c in guess.values())
     return fixed + min(by_chain, by_price)
 
 
@@ -228,26 +258,25 @@ def _evaluate_guess(guess, taken, rows, bound):
 
 def _solve_flow(guess, taken, rows, picks):
     """Claimed satisfaction and bundles for one guess and one stored pick per agent."""
-    # The network is a DAG, as max_profit_flow requires: s -> item ->
-    # chain node -> group -> t, or straight from the chain node to t.
-    # Each group must hand out at least one item.  rows run over the
-    # agents' open chains in guess order, as do the picks' groups.
-    open_rows = iter(rows)
-    arcs, tags = _chain_network(
-        [
-            (a, next(open_rows), None if k is None else ("g", a, k))
-            for a, (groups, _) in zip(guess, picks)
-            for k in groups
-        ],
-        [("g", a, k) for a, (_, count) in zip(guess, picks) for k in range(count)],
-    )
-    feasible, prof, flows = max_profit_flow(arcs, "s", "t")
+    # rows run over the agents' open chains in guess order, as do the
+    # picks' groups; each agent's groups follow the earlier agents'.
+    exits: list[int | None] = []
+    agents: list[str] = []
+    groups = 0
+    for (a, c), (chain_groups, count) in zip(guess.items(), picks):
+        exits += [None if k is None else groups + k for k in chain_groups]
+        agents += [a] * len(c.rows)
+        groups += count
+    feasible, prof, items = chain_flow(rows, exits, groups)
     if not feasible:
         return None
     bundles: dict[str, set[str]] = {}
     for v, a in taken.items():
         bundles.setdefault(a, set()).add(v)
-    return sum(c.sat for c in guess.values()) + prof, _bundles(tags, flows, bundles)
+    for a, x in zip(agents, items):
+        if x is not None:
+            bundles.setdefault(a, set()).add(x)
+    return sum(c.sat for c in guess.values()) + prof, bundles
 
 
 def _minimalize(inst: Instance, bundles: dict[str, set[str]]) -> Allocation:

@@ -1,17 +1,22 @@
 """Integer combinatorial kernels used by the allocation solvers.
 
-Everything here is exact integer arithmetic: max-profit flow with arc
-lower bounds over DAG networks (successive shortest source->sink paths,
-no artificial excess), linear sum assignment, max-weight bipartite
-matching and max-weight independent set in bipartite graphs as thin
-adapters onto it, bottleneck assignment, and cardinality matching.  Only
-the infinity sentinels of `hopcroft_karp` and `max_profit_flow` are floats.
+Everything here is exact integer arithmetic.  There are two flow entries.
+`max_profit_flow` is max-profit flow with arc lower bounds over any DAG
+network (successive shortest source->sink paths, no artificial excess);
+linear sum assignment, max-weight bipartite matching and max-weight
+independent set in bipartite graphs are thin adapters onto it.
+`chain_flow` solves the chain network of the chain and junction routes on
+integer node ids: the same flow as `max_profit_flow` on the chain
+network's arcs, which its docstring lists; rows are read, never mutated.
+Bottleneck assignment and cardinality matching complete the set.  Only
+the infinity sentinels of `hopcroft_karp`, `max_profit_flow` and
+`chain_flow` are floats.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Hashable, Iterable, Sequence
 
 from .core import PreconditionError
@@ -395,3 +400,195 @@ def max_profit_flow(
         flows[k] += res[e + 1]
     profit = sum(f * arc[4] for f, arc in zip(flows, arcs))
     return True, profit, flows
+
+
+# -- chain networks ------------------------------------------------------------
+
+
+def chain_flow(
+    rows: Sequence[Sequence[tuple[Hashable, int]]],
+    exits: Sequence[int | None],
+    groups: int,
+) -> tuple[bool, int, list[Hashable | None]]:
+    """Most profitable pick of at most one item per row, each item in one
+    row at most, such that every group's rows pick at least one item.
+
+    rows[r] lists its (item, gain) pairs, each item at most once per row,
+    and exits[r] is the index of its group in range(groups), or None for a
+    row in no group.  Returns (feasible, profit, item per row, None where
+    the row picks none); an infeasible network gives (False, 0, all None).
+    Rows are read, never mutated.
+
+    This is the same flow as `max_profit_flow` on the chain network: for
+    each row in order, its arcs (item, row, 0, 1, gain) in row order and
+    then (row, exit, 0, 1, 0), the exit being t or the row's group node;
+    then (s, item, 0, 1, 0) in descending item order; then (group, t, 1,
+    None, 0) per group.  So it finds the same shortest paths with the same
+    ties: node ids follow first appearance in that arc order, the first
+    path is the tree that `max_profit_flow`'s Kahn pass leaves, and
+    Dijkstra settles nodes in (distance, id) order under the same
+    potentials.  Every path starts at an s -> item arc of capacity 1, so
+    each augmentation moves one unit, and a row carrying flow has exactly
+    one residual arc out: back to its item.
+    """
+    # Node ids: s 0, t 1, then items, row nodes and group nodes as the arc
+    # order first names them.  kind: 1 item, 2 row, 3 group.
+    ids: dict[Hashable, int] = {}
+    row_node: list[int] = []
+    group_node = [0] * groups
+    n = 2
+    for row, ex in zip(rows, exits):
+        r = 0
+        for x, _ in row:
+            if x not in ids:
+                ids[x] = n
+                n += 1
+            if not r:
+                r = n
+                n += 1
+        if not r:  # an empty row is first named by its exit arc
+            r = n
+            n += 1
+        row_node.append(r)
+        if ex is not None and not group_node[ex]:
+            group_node[ex] = n
+            n += 1
+    for g in range(groups):
+        if not group_node[g]:
+            group_node[g] = n
+            n += 1
+    label: list[Hashable] = [None] * n
+    kind = [0] * n
+    out: list[list] = [[] for _ in range(n)]  # item: its (row, gain); group: its rows
+    exit_of = [1] * n
+    left = [0] * n  # arcs into a row, nonempty rows into a group: the Kahn in-degrees
+    for x, v in ids.items():
+        label[v], kind[v] = x, 1
+    for g in group_node:
+        kind[g] = 3
+    for row, ex, r in zip(rows, exits, row_node):
+        kind[r], left[r] = 2, len(row)
+        for x, gain in row:
+            out[ids[x]].append((r, gain))
+        if ex is not None:
+            exit_of[r] = g = group_node[ex]
+            out[g].append(r)
+            left[g] += bool(row)
+    big = 1 + sum(abs(gain) for row in rows for _, gain in row)
+
+    # max_profit_flow's Kahn pass pops s, then the items in ascending order
+    # (s pushed them in descending order), each followed by the rows it
+    # completes, last row first, each followed by its group once complete.
+    # Empty rows and groups of empty rows pop earlier but are never reached.
+    # The first relaxation of a node reaching its least cost wins.
+    h = [0] * n
+    prev = [-1] * n
+    gain_in = [0] * n  # the gain of the item arc that set a row's prev
+    for x in sorted(ids):
+        u = ids[x]
+        prev[u] = 0
+        done = []
+        for r, gain in out[u]:
+            if prev[r] < 0 or -gain < h[r]:
+                h[r], prev[r], gain_in[r] = -gain, u, gain
+            left[r] -= 1
+            if not left[r]:
+                done.append(r)
+        for r in reversed(done):
+            v = exit_of[r]
+            if prev[v] < 0 or h[r] < h[v]:
+                h[v], prev[v] = h[r], r
+            if v != 1:
+                left[v] -= 1
+                # The group's M arc to t beats its plain one by `big`.
+                if not left[v] and (prev[1] < 0 or h[v] - big < h[1]):
+                    h[1], prev[1] = h[v] - big, v
+
+    # Successive shortest paths.  picked[r] is row r's item node (0: none)
+    # and m_live[g] whether group g's lower-bound arc is still unused.  The
+    # potentials are h[v] + shift: a round moves only the nodes settled
+    # before t, each by its distance less t's, and the shift by t's.
+    picked = [0] * n
+    picked_gain = [0] * n
+    m_live = [k == 3 for k in kind]
+    free = list(ids.values())
+    inf = float("inf")
+    shift = 0
+    # A sink the Kahn pass did not reach keeps h[1] = 0: no path to augment.
+    while h[1] + shift < 0:
+        # Augment one unit along prev from t back to s.
+        v = 1
+        while v:
+            u = prev[v]
+            if kind[v] == 2:
+                if kind[u] == 1:
+                    picked[v], picked_gain[v] = u, gain_in[v]
+                else:  # back from its group: the row gives up its item
+                    picked[v] = 0
+            elif v == 1:
+                if kind[u] == 3:
+                    m_live[u] = False
+            elif not u:  # s -> item
+                free.remove(v)
+            v = u
+        # Settle s: its only residual arcs lead to the free items.
+        dist = [inf] * n
+        dist[0] = 0
+        hs = h[0]
+        heap = []
+        for x in free:
+            dist[x] = nd = hs - h[x]
+            prev[x] = 0
+            heap.append(nd * n + x)
+        heapify(heap)
+        settled = [0]
+        while heap:
+            k = heappop(heap)
+            u = k % n
+            if u == 1:
+                break
+            d = k // n
+            if d > dist[u]:
+                continue
+            settled.append(u)
+            du = d + h[u]
+            k = kind[u]
+            if k == 1:
+                for r, gain in out[u]:
+                    if picked[r] != u:
+                        nd = du - gain - h[r]
+                        if nd < dist[r]:
+                            dist[r], prev[r], gain_in[r] = nd, u, gain
+                            heappush(heap, nd * n + r)
+            elif k == 2:
+                v = picked[u]
+                if v:
+                    nd = du + picked_gain[u] - h[v]
+                else:
+                    v = exit_of[u]
+                    nd = du - h[v]
+                if nd < dist[v]:
+                    dist[v], prev[v] = nd, u
+                    heappush(heap, nd * n + v)
+            else:
+                for r in out[u]:
+                    if picked[r]:
+                        nd = du - h[r]
+                        if nd < dist[r]:
+                            dist[r], prev[r] = nd, u
+                            heappush(heap, nd * n + r)
+                nd = du - h[1] - (big if m_live[u] else 0)
+                if nd < dist[1]:
+                    dist[1], prev[1] = nd, u
+                    heappush(heap, nd * n + 1)
+        else:
+            break  # the sink is out of reach
+        cut = dist[1]
+        shift += cut
+        for v in settled:
+            h[v] += dist[v] - cut
+
+    if any(m_live[g] for g in group_node):
+        return False, 0, [None] * len(rows)
+    profit = sum(picked_gain[r] for r in row_node if picked[r])
+    return True, profit, [label[picked[r]] for r in row_node]

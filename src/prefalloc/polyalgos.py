@@ -6,9 +6,9 @@ route's `misfit` text outside it.  All of them return exact optima; the
 tests check them against the exhaustive reference solver.
 
 Directed matchings, single paths and path forests are all unions of
-disjoint paths: their min-sum solvers share one chain assignment, a
-max-profit flow on the chain network that the junction route also
-builds.  Min-max over single paths searches for the least bound that a
+disjoint paths: their min-sum solvers share one chain assignment,
+`kernels.chain_flow`, the flow that the junction route also runs.
+Min-max over single paths searches for the least bound that a
 cardinality matching of each agent to its first items can meet.
 """
 
@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .classify import ROUTE
 from .core import Allocation, Instance, PreconditionError
 from .core import profile  # noqa: F401  perfbench/tracing.py wraps it by name
-from .kernels import bipartite_mwis, hopcroft_karp, max_profit_flow
+from .kernels import bipartite_mwis, chain_flow, hopcroft_karp
 from .kernels import lbap, lsap, max_weight_matching  # noqa: F401  perfbench/tracing.py wraps them by name
 
 
@@ -53,7 +53,7 @@ def _require(inst: Instance, route: str) -> None:
 # allocation, which hands each agent the items assigned to its chains,
 # satisfies at least that much; so the difference is the optimum and
 # the witness's dissatisfaction.  The junction route hands out chain
-# items on the same network, with group exits in place of the sink.
+# items by the same `chain_flow`, with groups that must each take an item.
 
 
 class Chain(NamedTuple):
@@ -89,52 +89,19 @@ def _gains(items: list[str]) -> list[tuple[str, int]]:
     return [(x, len(items) - t) for t, x in enumerate(items)]
 
 
-def _chain_network(rows, groups) -> tuple[list[tuple], list[tuple[str, str] | None]]:
-    """Arcs s -> item -> row node -> exit -> t for `max_profit_flow`, and their tags.
-
-    rows are (agent, [(item, gain)], exit), where an exit of None is the
-    sink t and any other exit is one of `groups`, the nodes that must each
-    hand out at least one item.  An item earns its gain on its arc to the
-    row node, and each row node has one capacity-1 arc to its exit, so a
-    row hands out at most one item.  tags[k] is (agent, item) for an item
-    -> row arc, else None.  Arc order decides ties between equally
-    profitable flows: each row's item arcs in row order, then its exit
-    arc, rows in the given order, then the s -> item arcs in descending
-    item order, then each group's arc to t.
-    """
-    arcs: list[tuple] = []
-    tags: list[tuple[str, str] | None] = []
-    item_nodes: set[str] = set()
-    for r, (a, row, exit_node) in enumerate(rows):
-        node = ("r", r)
-        for x, gain in row:
-            item_nodes.add(x)
-            arcs.append((("i", x), node, 0, 1, gain))
-            tags.append((a, x))
-        arcs.append((node, exit_node or "t", 0, 1, 0))
-        tags.append(None)
-    for x in sorted(item_nodes, reverse=True):
-        arcs.append(("s", ("i", x), 0, 1, 0))
-        tags.append(None)
-    arcs += [(group, "t", 1, None, 0) for group in groups]
-    tags += [None] * len(groups)
-    return arcs, tags
-
-
-def _bundles(tags, flows, into: dict[str, set[str]]) -> dict[str, set[str]]:
-    """Add to `into` each item whose tagged arc carries flow, in its agent's bundle."""
-    for tag, flow in zip(tags, flows):
-        if tag is not None and flow:
-            into.setdefault(tag[0], set()).add(tag[1])
-    return into
-
-
 def _minsum_chains(inst: Instance) -> SolveResult:
-    rows = [(a, _gains(ch.items), None) for a in inst.agents for ch in _chains(inst.graphs[a])]
-    arcs, tags = _chain_network(rows, [])
-    _, prof, flows = max_profit_flow(arcs, "s", "t")
-    size = sum(len(row) for _, row, _ in rows)
-    return SolveResult(size - prof, Allocation.of(_bundles(tags, flows, {})))
+    agents, rows = [], []
+    for a in inst.agents:
+        for ch in _chains(inst.graphs[a]):
+            agents.append(a)
+            rows.append(_gains(ch.items))
+    _, prof, items = chain_flow(rows, [None] * len(rows), 0)
+    bundles: dict[str, set[str]] = {}
+    for a, x in zip(agents, items):
+        if x is not None:
+            bundles.setdefault(a, set()).add(x)
+    size = sum(len(row) for row in rows)
+    return SolveResult(size - prof, Allocation.of(bundles))
 
 
 def minsum_directed_matchings(inst: Instance) -> SolveResult:

@@ -2,11 +2,12 @@
 
     python tests/ledger.py [TABLE ...]
 
-TABLE is any of corpora, constructions, junction_work, chain_flows and
-oracle (all five by default).  Each table comes from the helper behind
-its tier-1 pin: corpora digests the benchmark's full seed-1 corpora, the
-others count work over their first 120 requests, so the output of two
-checkouts can be compared line by line.
+TABLE is any of corpora, constructions, junction_work, chain_flows, flows
+and oracle (all six by default).  Each table comes from the helper behind
+its tier-1 pin: corpora digests the benchmark's full seed-1 corpora and
+flows every chain-network flow their requests run, the others count work
+over their first 120 requests, so the output of two checkouts can be
+compared line by line.
 """
 
 import json
@@ -28,6 +29,9 @@ TABLES = {
     },
     "junction_work": test_cli.junction_work,
     "chain_flows": test_cli.chain_flows,
+    "flows": lambda: {
+        w: test_cli.chain_flow_digest(w) for w in sorted(test_cli.CHAIN_FLOW_DIGESTS)
+    },
     "oracle": lambda: {
         o: test_exact.oracle_prefix_counts(o) for o in sorted(test_exact.ORACLE_PREFIX_COUNTS)
     },

@@ -1053,25 +1053,32 @@ def test_benchmark_constructions_are_pinned(workload, monkeypatch):
 # forms is checked for two agents taking one junction (`_taken`); the
 # consistent ones are bounded (`_bound`), those whose bound can beat the
 # incumbent are evaluated (`_evaluate_guess`), and each evaluation here
-# runs one flow (`max_profit_flow`) on a network of `flow_arcs` arcs in all.
+# runs one flow (`chain_flow`) on a network of `flow_arcs` arcs in all.
 JUNCTION_WORK = {
     "_taken": 2701,
     "_bound": 2660,
     "_evaluate_guess": 380,
-    "max_profit_flow": 380,
+    "chain_flow": 380,
     "flow_arcs": 18981,
 }
+
+
+def chain_arcs(rows, exits, groups) -> int:
+    """Arcs of the network `chain_flow` solves: one per (row, item), one
+    exit per row, one s -> item per distinct item and one per group."""
+    items = {x for row in rows for x, _ in row}
+    return sum(len(row) for row in rows) + len(rows) + len(items) + groups
 
 
 def junction_work() -> dict[str, int]:
     counts = dict.fromkeys(JUNCTION_WORK, 0)
 
-    def flow(arcs, *_):
-        counts["max_profit_flow"] += 1
-        counts["flow_arcs"] += len(arcs)
+    def flow(*args):
+        counts["chain_flow"] += 1
+        counts["flow_arcs"] += chain_arcs(*args)
 
     hooks = [(junction, n, tally(counts, n)) for n in ("_taken", "_bound", "_evaluate_guess")]
-    serve_counting("junction-flow", [*hooks, (junction, "max_profit_flow", flow)])
+    serve_counting("junction-flow", [*hooks, (junction, "chain_flow", flow)])
     return counts
 
 
@@ -1083,7 +1090,7 @@ def test_benchmark_junction_work_is_pinned(monkeypatch):
 # Chain-flow ledger: the max-profit flows each route runs while
 # `service.handle` serves the `tractable-large` prefix (20 requests per
 # route), with the arcs of their networks.  The three path-forest routes
-# run one chain network each (`polyalgos.max_profit_flow`); the star-forest
+# run one chain network each (`polyalgos.chain_flow`); the star-forest
 # route runs one min cut (`kernels.max_profit_flow`, under
 # `bipartite_mwis`).  The two min-max routes run no flow.
 CHAIN_FLOWS = {
@@ -1105,16 +1112,22 @@ def chain_flows() -> dict[str, dict[str, int]]:
 
         return hook
 
-    def flow(arcs, *_):
+    def count(arcs):
         c = counts.setdefault(route, {"calls": 0, "arcs": 0})
         c["calls"] += 1
-        c["arcs"] += len(arcs)
+        c["arcs"] += arcs
+
+    def chain(*args):
+        count(chain_arcs(*args))
+
+    def flow(arcs, *_):
+        count(len(arcs))
 
     hooks = [
         (importlib.import_module(f"prefalloc.{r.solver[0]}"), r.solver[1], enter(r.name))
         for r in classify.ROUTES
     ]
-    hooks += [(polyalgos, "max_profit_flow", flow), (kernels, "max_profit_flow", flow)]
+    hooks += [(polyalgos, "chain_flow", chain), (kernels, "max_profit_flow", flow)]
     serve_counting("tractable-large", hooks)
     return counts
 
@@ -1124,14 +1137,62 @@ def test_benchmark_chain_flows_are_pinned(monkeypatch):
     assert chain_flows() == CHAIN_FLOWS
 
 
+# sha256 of every `chain_flow` call, arguments and result, while
+# `service.handle` serves the full seed-1 corpora of the two workloads that
+# run chain networks; taken from the solver that ran `max_profit_flow` on
+# the chain network's arcs, so the kernel must find that flow, ties and all.
+CHAIN_FLOW_DIGESTS = {
+    "junction-flow": {
+        "calls": 380,
+        "sha256": "990b1ac0003127ecb3ad30dba4918d0437efda8a9780701805e65d60c500b1e7",
+    },
+    "tractable-large": {
+        "calls": 240,
+        "sha256": "6c60f876f6c4b0c01dd460800423c8b487e7629ef2b5f323b36b009781c1e33d",
+    },
+}
+
+
+def chain_flow_digest(workload) -> dict:
+    service, lib, corpus = benchmark_corpus(workload)
+    digest, calls = hashlib.sha256(), 0
+    owners = [(m, m.chain_flow) for m in (polyalgos, junction)]
+
+    def recorded(fn):
+        def call(rows, exits, groups):
+            nonlocal calls
+            got = fn(rows, exits, groups)
+            calls += 1
+            digest.update(json.dumps([rows, exits, groups, *got]).encode() + b"\n")
+            return got
+
+        return call
+
+    try:
+        for owner, fn in owners:
+            owner.chain_flow = recorded(fn)
+        for req in corpus:
+            service.handle(lib, req)
+    finally:
+        for owner, fn in owners:
+            owner.chain_flow = fn
+    return {"calls": calls, "sha256": digest.hexdigest()}
+
+
+def test_benchmark_chain_flows_are_digested(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    for workload, want in CHAIN_FLOW_DIGESTS.items():
+        assert chain_flow_digest(workload) == want, workload
+
+
 def test_benchmark_flow_counts_ignore_the_hash_seed():
     """`tests/ledger.py` counts the junction and chain-flow tables and
-    digests the corpora in fresh interpreters the same whatever their
-    string hash seed, so the pins stand as exact evidence."""
+    digests the chain flows and the corpora in fresh interpreters the same
+    whatever their string hash seed, so the pins stand as exact evidence."""
     ledger = Path(__file__).parent / "ledger.py"
     procs = {
         seed: subprocess.Popen(
-            [sys.executable, str(ledger), "junction_work", "chain_flows", "corpora"],
+            [sys.executable, str(ledger), "junction_work", "chain_flows", "flows", "corpora"],
             stdout=subprocess.PIPE,
             text=True,
             env={**os.environ, "PYTHONHASHSEED": seed},
@@ -1141,6 +1202,7 @@ def test_benchmark_flow_counts_ignore_the_hash_seed():
     want = {
         "junction_work": JUNCTION_WORK,
         "chain_flows": CHAIN_FLOWS,
+        "flows": CHAIN_FLOW_DIGESTS,
         "corpora": BENCHMARK_CORPUS_DIGESTS,
     }
     try:

@@ -18,13 +18,8 @@ from prefalloc.junction import (
     _taken,
     minsum_few_junctions,
 )
-from prefalloc.kernels import max_profit_flow
-from prefalloc.polyalgos import (
-    _chain_network,
-    minsum_directed_matchings,
-    minsum_disjoint_paths,
-    minsum_paths,
-)
+from prefalloc.kernels import chain_flow
+from prefalloc.polyalgos import minsum_directed_matchings, minsum_disjoint_paths, minsum_paths
 
 from conftest import graph, instance, ladder_instance
 
@@ -154,6 +149,22 @@ def _guesses(inst):
             yield guess, taken, _open_rows(guess, taken)
 
 
+# sha256 of every case _agent_cases builds for each agent of
+# _junction_draw(0..199), taken from the solver that built them from sets of
+# junction names: a reordered case, pick or row must show here.
+PINNED_CASES_DIGEST = "e940c6925c219d9f009859900bb0c21086d89c6bffe04f61d44cc09b98d68fc8"
+
+
+def test_agent_cases_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(200):
+        inst = _junction_draw(seed)
+        for a in inst.agents:
+            for c in _agent_cases(inst.graphs[a]):
+                digest.update(json.dumps([c.taken, c.sat, c.exits, c.rows]).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_CASES_DIGEST
+
+
 @pytest.mark.parametrize("seed", range(100))
 def test_bound_caps_every_flow_of_a_guess(seed):
     for guess, taken, rows in _guesses(_junction_draw(seed)):
@@ -175,8 +186,7 @@ def test_price_bound_lies_between_assignment_and_chain_item_sums(seed):
         # depth t of an m-item chain gaining m - t.
         for c in guess.values():
             assert all([g for _, g in full] == list(range(len(full), 0, -1)) for full in c.rows)
-        arcs, _ = _chain_network([(None, row, None) for row in rows], [])
-        feasible, relaxed, _ = max_profit_flow(arcs, "s", "t")
+        feasible, relaxed, _ = chain_flow(rows, [None] * len(rows), 0)
         assert feasible
         full_rows = [full for c in guess.values() for full in c.rows]
         by_chain = sum(next((gx for x, gx in full if x not in taken), 0) for full in full_rows)
@@ -235,9 +245,9 @@ def test_unkeepable_promises_are_dropped_with_their_case(monkeypatch):
     def counting(*args):
         nonlocal flows
         flows += 1
-        return max_profit_flow(*args)
+        return chain_flow(*args)
 
-    monkeypatch.setattr(junction, "max_profit_flow", counting)
+    monkeypatch.setattr(junction, "chain_flow", counting)
     for seed in range(200):
         inst = _junction_draw(seed)
         for a in inst.agents:
@@ -307,20 +317,19 @@ def test_first_optimum_is_pinned():
 
 def test_flow_call_count_regression(monkeypatch):
     # A fixed gamma = 3 instance at the benchmark's size: running every
-    # guess's flows takes 60 max_profit_flow calls, bounding each guess by
-    # its chain and item sums first leaves 6, and the price bound 5.
+    # guess's flows takes 60 chain_flow calls, bounding each guess by its
+    # chain and item sums first leaves 6, and the price bound 5.
     rng = random.Random(9)
     inst = randgen.junction_bounded_instance(rng, 12, 6, 3)
     while junction_count(inst) != 3:
         inst = randgen.junction_bounded_instance(rng, 12, 6, 3)
     calls = 0
-    flow = junction.max_profit_flow
 
     def counting(*args):
         nonlocal calls
         calls += 1
-        return flow(*args)
+        return chain_flow(*args)
 
-    monkeypatch.setattr(junction, "max_profit_flow", counting)
+    monkeypatch.setattr(junction, "chain_flow", counting)
     assert minsum_few_junctions(inst).value == 6
-    assert calls <= 5
+    assert calls == 5

@@ -10,6 +10,7 @@ import pytest
 from prefalloc.core import PreconditionError
 from prefalloc.kernels import (
     bipartite_mwis,
+    chain_flow,
     hopcroft_karp,
     lbap,
     lsap,
@@ -460,3 +461,70 @@ class TestMaxProfitFlow:
             )
         with pytest.raises(PreconditionError):
             max_profit_flow([("a", "b", 0, 1, 0), ("b", "a", 0, 1, 0)], "a", "b")
+
+
+def chain_network(rows, exits, groups):
+    """The chain network that `kernels.chain_flow` solves, as arcs for
+    `max_profit_flow` from "s" to "t": s -> item -> row node -> exit -> t.
+
+    An item earns its gain on its arc to the row node, and each row node
+    has one capacity-1 arc to its exit, t or its group node, so a row hands
+    out at most one item; each group's arc to t has lower bound 1.  Arc
+    order decides ties between equally profitable flows: each row's item
+    arcs in row order, then its exit arc, rows in the given order, then the
+    s -> item arcs in descending item order, then each group's arc to t.
+    """
+    arcs, items = [], set()
+    for r, (row, ex) in enumerate(zip(rows, exits)):
+        for x, gain in row:
+            items.add(x)
+            arcs.append((("i", x), ("r", r), 0, 1, gain))
+        arcs.append((("r", r), "t" if ex is None else ("g", ex), 0, 1, 0))
+    arcs += [("s", ("i", x), 0, 1, 0) for x in sorted(items, reverse=True)]
+    arcs += [(("g", k), "t", 1, None, 0) for k in range(groups)]
+    return arcs
+
+
+def reference_chain_flow(rows, exits, groups):
+    """`chain_flow`'s (feasible, profit, item per row), read off the flow
+    `max_profit_flow` finds on `chain_network`."""
+    arcs = chain_network(rows, exits, groups)
+    feasible, profit, flows = max_profit_flow(arcs, "s", "t")
+    items = [None] * len(rows)
+    for (u, v, *_), f in zip(arcs, flows):
+        if f and u[0] == "i":
+            items[v[1]] = u[1]
+    return feasible, profit, items
+
+
+def _chain_draw(rng):
+    """Rows over a small shared pool, as chains (depth t of m items gains
+    m - t) or with tied random gains, some empty; each row goes to the sink
+    or to one of up to three groups, so some groups get no nonempty row."""
+    pool = [f"x{i}" for i in range(rng.randint(1, 9))]
+    groups = rng.randint(0, 3)
+    rows, exits = [], []
+    for _ in range(rng.randint(0, 8)):
+        items = rng.sample(pool, rng.randint(0, len(pool)))
+        if rng.random() < 0.4:
+            rows.append([(x, len(items) - t) for t, x in enumerate(items)])
+        else:
+            rows.append([(x, rng.randint(1, 3)) for x in items])
+        exits.append(rng.randrange(groups) if groups and rng.random() < 0.6 else None)
+    return rows, exits, groups
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_chain_flow_is_max_profit_flow_on_the_chain_network(seed):
+    # The same flow, not only the same profit: ties between equally
+    # profitable picks must fall the same way.
+    rng = random.Random(seed)
+    outcomes = set()
+    for _ in range(100):
+        rows, exits, groups = _chain_draw(rng)
+        frozen = json.dumps([rows, exits])
+        got = chain_flow(rows, exits, groups)
+        assert got == reference_chain_flow(rows, exits, groups), (rows, exits, groups)
+        assert json.dumps([rows, exits]) == frozen  # rows are only read
+        outcomes.add(got[0])
+    assert outcomes == {True, False}
