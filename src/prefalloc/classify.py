@@ -8,7 +8,7 @@ Callers read those directly.  This module keeps what is about a whole
 instance: `instance_class`, the most specific label every agent's graph
 shares; `misfit_agent`, the first agent whose graph lacks a label;
 `junction_count`, the junctions of all agents with multiplicity; and the
-routing itself.
+routing itself: `dispatch` picks a solver and `solve` serves a request.
 
 `ROUTES` is the route table: per exact polynomial solver, the objective
 it minimizes, the class every agent's graph must have, the agent count
@@ -25,7 +25,9 @@ from __future__ import annotations
 import importlib
 from dataclasses import dataclass
 
-from .core import OBJECTIVES, GraphClass, Instance, PreconditionError
+from . import exact
+from .core import OBJECTIVES, Allocation, DissatisfactionProfile, GraphClass, Instance
+from .core import PreconditionError, SizeGuardError, profile
 
 
 def instance_class(inst: Instance) -> GraphClass:
@@ -86,12 +88,6 @@ class Route:
             return f"graph of agent {bad!r} is not of class {self.shape.value!r}"
         return None
 
-    def solve(self, inst: Instance):
-        # Looked up on the module at call time: the solver modules import
-        # this one, and tracers replace solvers in place on their modules.
-        module, function = self.solver
-        return getattr(importlib.import_module(f"{__package__}.{module}"), function)(inst)
-
 
 #: Routes in dispatch order.  The general-DAG entry is the junction FPT
 #: solver, bounded by the junction count rather than by shape; its reason
@@ -127,8 +123,6 @@ def dispatch(inst: Instance, objective: str) -> SolverChoice:
     instance under the PREFALLOC_ORACLE_LIMIT setting, else reports
     "oracle-too-large" with that check's reason.
     """
-    from . import exact
-
     if objective not in OBJECTIVES:
         raise PreconditionError(f"unknown objective {objective!r}")
     for route in ROUTES:
@@ -143,3 +137,46 @@ def dispatch(inst: Instance, objective: str) -> SolverChoice:
             )
     ok, reason = exact.fits(inst)
     return SolverChoice("oracle" if ok else "oracle-too-large", reason)
+
+
+@dataclass(frozen=True)
+class Solution(SolverChoice):
+    """The chosen solver's answer, with the witness's profile it was checked on."""
+
+    value: int
+    witness: Allocation
+    profile: DissatisfactionProfile
+
+
+def solve(inst: Instance, objective: str, algorithm: str = "auto") -> Solution:
+    """Minimize the objective by `dispatch`'s choice, or a route or "oracle" by
+    name.  Refusals: SizeGuardError, and PreconditionError for an unknown or
+    other-objective algorithm or, behind the solver's name, the solver's own."""
+    if algorithm == "auto":
+        choice = dispatch(inst, objective)
+        if choice.name == "oracle-too-large":
+            raise SizeGuardError(choice.reason)
+    elif algorithm != "oracle" and algorithm not in ROUTE:
+        raise PreconditionError(f"unknown algorithm {algorithm!r}")
+    elif algorithm != "oracle" and ROUTE[algorithm].objective != objective:
+        raise PreconditionError(
+            f"algorithm {algorithm!r} does not minimize objective {objective!r}"
+        )
+    else:
+        choice = SolverChoice(algorithm, "forced by --algorithm")
+    try:
+        if choice.name == "oracle":
+            res = exact.minimize(inst, objective)
+        else:
+            # Looked up at call time: solver modules import this one; tracers wrap in place.
+            module, function = ROUTE[choice.name].solver
+            res = getattr(importlib.import_module(f"{__package__}.{module}"), function)(inst)
+    except PreconditionError as exc:
+        raise PreconditionError(f"{choice.name}: {exc}") from None
+    prof = profile(inst, res.witness)
+    checked = OBJECTIVES[objective](prof.values)
+    if checked != res.value:
+        raise AssertionError(
+            f"solver {choice.name} reported {res.value} but its witness evaluates to {checked}"
+        )
+    return Solution(choice.name, choice.reason, checked, res.witness, prof)

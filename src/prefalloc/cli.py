@@ -15,19 +15,19 @@ import sys
 import time
 import warnings
 
-from . import classify, exact, randgen, reductions
+from . import classify, randgen, reductions
 from .core import (
     OBJECTIVES,
     Instance,
     ParseError,
     PreconditionError,
     SizeGuardError,
+    ValidationError,
     parse_allocation,
     parse_instance,
     profile,
     serialize_instance,
     serialize_profile,
-    validate_allocation,
 )
 
 EXIT_OK = 0
@@ -35,6 +35,12 @@ EXIT_NO = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_TOO_LARGE = 4
+
+_EXIT_CODES = {
+    ParseError: EXIT_INPUT,  # e.g. a malformed or negative PREFALLOC_ORACLE_LIMIT
+    PreconditionError: EXIT_UNSUPPORTED,
+    SizeGuardError: EXIT_TOO_LARGE,
+}
 
 # generate --reduction name -> reduction
 _REDUCTIONS = {red.cli_name: red for red in reductions.REDUCTIONS.values()}
@@ -79,63 +85,25 @@ def _emit(text: str) -> None:
     sys.stdout.write(text)
 
 
-def _pick_algorithm(inst: Instance, objective: str, requested: str) -> tuple[str, str]:
-    if requested == "auto":
-        choice = classify.dispatch(inst, objective)
-        if choice.name == "oracle-too-large":
-            raise _CliError(EXIT_TOO_LARGE, choice.reason)
-        return choice.name, choice.reason
-    if requested == "oracle":
-        return "oracle", "forced by --algorithm"
-    route = classify.ROUTE.get(requested)
-    if route is None:
-        raise _CliError(EXIT_UNSUPPORTED, f"unknown algorithm {requested!r}")
-    if route.objective != objective:
-        raise _CliError(
-            EXIT_UNSUPPORTED,
-            f"algorithm {requested!r} does not minimize objective {objective!r}",
-        )
-    return requested, "forced by --algorithm"
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    name, reason = _pick_algorithm(inst, args.objective, args.algorithm)
     started = time.perf_counter()
-    try:
-        if name == "oracle":
-            res = exact.minimize(inst, args.objective)
-        else:
-            res = classify.ROUTE[name].solve(inst)
-    except SizeGuardError as exc:
-        raise _CliError(EXIT_TOO_LARGE, str(exc)) from None
-    except PreconditionError as exc:
-        raise _CliError(EXIT_UNSUPPORTED, f"{name}: {exc}") from None
+    sol = classify.solve(inst, args.objective, args.algorithm)
     elapsed = time.perf_counter() - started
-    value, witness = res.value, res.witness
-
-    # Recompute the objective from the witness so the report can never
-    # drift from the allocation it carries.
-    prof = profile(inst, witness)
-    checked = OBJECTIVES[args.objective](prof.values)
-    if checked != value:
-        raise AssertionError(
-            f"solver {name} reported {value} but its witness evaluates to {checked}"
-        )
 
     report = {
         "objective": args.objective,
-        "algorithm": name,
-        "reason": reason,
-        "value": checked,
-        "profile": prof.as_dict(),
-        "sum": prof.total,
-        "max": prof.maximum,
-        "allocation": {agent: sorted(items) for agent, items in witness.pairs},
+        "algorithm": sol.name,
+        "reason": sol.reason,
+        "value": sol.value,
+        "profile": sol.profile.as_dict(),
+        "sum": sol.profile.total,
+        "max": sol.profile.maximum,
+        "allocation": {agent: sorted(items) for agent, items in sol.witness.pairs},
     }
     code = EXIT_OK
     if args.threshold is not None:
-        answer = checked <= args.threshold
+        answer = sol.value <= args.threshold
         report["decision"] = {
             "threshold": args.threshold,
             "answer": "yes" if answer else "no",
@@ -158,9 +126,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
             lines.append(f"decision   {dec['answer']} (threshold {dec['threshold']})")
         if "wall_ms" in report:
             lines.append(f"wall_ms    {report['wall_ms']}")
-        for agent in prof.agents:
-            bundle = ", ".join(sorted(witness.get(agent))) or "-"
-            lines.append(f"agent {agent}: delta {prof[agent]}, holds {bundle}")
+        for agent in sol.profile.agents:
+            bundle = ", ".join(sorted(sol.witness.get(agent))) or "-"
+            lines.append(f"agent {agent}: delta {sol.profile[agent]}, holds {bundle}")
         _emit("\n".join(lines) + "\n")
     else:
         _emit(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -173,12 +141,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         alloc = parse_allocation(_read_text(args.allocation))
     except ParseError as exc:
         raise _CliError(EXIT_INPUT, f"bad allocation: {exc}") from None
-    violations = validate_allocation(inst, alloc)
-    if violations:
-        for line in violations:
+    try:
+        _emit(serialize_profile(profile(inst, alloc)))
+    except ValidationError as exc:
+        for line in exc.violations:
             print(f"invalid: {line}", file=sys.stderr)
         return EXIT_INPUT
-    _emit(serialize_profile(profile(inst, alloc)))
     return EXIT_OK
 
 
@@ -305,12 +273,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--reduction requires a source path (or -)")
     try:
         return args.func(args)
-    except _CliError as exc:
+    except (_CliError, *_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ParseError as exc:  # e.g. a malformed or negative PREFALLOC_ORACLE_LIMIT
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return exc.code if isinstance(exc, _CliError) else _EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

@@ -151,9 +151,7 @@ def lbap(cost: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
         return match_l if size == n else None
 
     lo, hi = 0, len(values) - 1
-    best = attempt(values[hi])
-    if best is None:
-        raise PreconditionError("no feasible assignment at any threshold")
+    best = attempt(values[hi])  # every entry admitted: all n <= m rows match
     while lo < hi:
         mid = (lo + hi) // 2
         got = attempt(values[mid])

@@ -2,12 +2,13 @@
 
     python tests/ledger.py [TABLE ...]
 
-TABLE is any of corpora, constructions, junction_work, chain_flows, flows
-and oracle (all six by default).  Each table comes from the helper behind
-its tier-1 pin: corpora digests the benchmark's full seed-1 corpora and
-flows every chain-network flow their requests run, the others count work
-over their first 120 requests, so the output of two checkouts can be
-compared line by line.
+TABLE is any of corpora, constructions, junction_work, chain_flows, flows,
+oracle and cli (all seven by default).  Each table comes from the helper
+behind its tier-1 pin: corpora digests the benchmark's full seed-1 corpora
+and flows every chain-network flow their requests run, cli digests the
+2,100 in-process `prefalloc solve` runs of `test_cli.solve_runs(5)`, the
+others count work over their first 120 requests, so the output of two
+checkouts can be compared line by line.
 """
 
 import json
@@ -35,6 +36,7 @@ TABLES = {
     "oracle": lambda: {
         o: test_exact.oracle_prefix_counts(o) for o in sorted(test_exact.ORACLE_PREFIX_COUNTS)
     },
+    "cli": lambda: test_cli.solve_runs(5),
 }
 
 

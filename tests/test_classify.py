@@ -8,16 +8,16 @@ import sys
 
 import pytest
 
-from prefalloc import exact, randgen
+from prefalloc import exact, polyalgos, randgen
 from prefalloc.classify import (
     DEFAULT_GAMMA_LIMIT,
-    ROUTES,
     GraphClass,
     SolverChoice,
     dispatch,
     instance_class,
     junction_count,
     misfit_agent,
+    solve,
 )
 from prefalloc.core import ParseError, PreconditionError, PreferenceGraph
 
@@ -365,9 +365,22 @@ def test_empty_graph_is_a_vacuous_matching_only():
 def test_agent_desiring_nothing_routes_and_solves(x, objective, route):
     inst = instance({"x": x, "y": EMPTY})
     assert dispatch(inst, objective).name == route
-    routes = {r.name: r for r in ROUTES}
-    got = routes[route].solve(inst).value if route in routes else brute_minimum(inst, objective)
+    got = brute_minimum(inst, objective) if route == "oracle" else solve(inst, objective, route).value
     assert got == exact.minimize(inst, objective).value
+
+
+def test_solve_rechecks_the_value_against_the_witness(monkeypatch):
+    # A value the witness does not score is a solver fault, not a refusal.
+    real = polyalgos.minsum_paths
+
+    def off_by_one(inst):
+        res = real(inst)
+        return polyalgos.SolveResult(res.value + 1, res.witness)
+
+    monkeypatch.setattr(polyalgos, "minsum_paths", off_by_one)
+    inst = instance({"x": CHAIN3, "y": ARC})
+    with pytest.raises(AssertionError, match="^solver minsum-paths reported 2 but"):
+        solve(inst, "sum", "minsum-paths")
 
 
 # -- routing pin -----------------------------------------------------------

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import importlib
+import io
 import json
 import os
 import random
@@ -10,8 +11,10 @@ import re
 import runpy
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -833,6 +836,53 @@ def test_forced_route_misfit_message_is_pinned(tmp_path, capsys):
         "",
         "error: minsum-matchings: graph of agent 'x' is not of class 'directed-matching'\n",
     )
+
+
+#: Every `--algorithm` value `solve_runs` asks for: both generic ones, a
+#: name no route has and each route, forced under both objectives.
+SOLVE_ALGORITHMS = ("auto", "oracle", "no-such-solver", *(r.name for r in classify.ROUTES))
+SOLVE_FORMS = ((), ("--threshold", "1"), ("--table",))
+
+# sha256 over (argv, exit code, stdout, stderr) of the `solve_runs(5)`
+# requests, and their exit codes, taken while the CLI still chose the
+# algorithm and re-checked the witness itself.
+SOLVE_RUNS = {
+    "sha256": "76648811d227e5dbefa6236e0f0a168dda1ad8eda2e8324a6a903e5bcdade0fd",
+    "exits": {"0": 660, "1": 30, "3": 1410},
+}
+
+
+def solve_runs(seeds: int) -> dict:
+    """Run `prefalloc solve` in process, reading the instance from stdin,
+    on one instance per randgen shape and seed below `seeds`, under every
+    objective, `SOLVE_ALGORITHMS` value and `SOLVE_FORMS` output form.
+    Returns the sha256 over each run's (argv, exit code, stdout, stderr)
+    and the count of each exit code."""
+    digest, exits = hashlib.sha256(), {}
+    with mock.patch.dict(os.environ):
+        os.environ.pop("PREFALLOC_ORACLE_LIMIT", None)
+        for shape in randgen.SHAPES:
+            for seed in range(seeds):
+                rng = random.Random(seed)
+                inst = randgen.random_instance(rng, shape, rng.randint(2, 9), rng.randint(1, 4))
+                text = serialize_instance(inst)
+                for objective in core.OBJECTIVES:
+                    for algorithm in SOLVE_ALGORITHMS:
+                        for form in SOLVE_FORMS:
+                            argv = ["solve", "-", "--objective", objective,
+                                    "--algorithm", algorithm, *form]
+                            out, err = io.StringIO(), io.StringIO()
+                            with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+                                    redirect_stdout(out), redirect_stderr(err):
+                                code = main(argv)
+                            record = [argv, code, out.getvalue(), err.getvalue()]
+                            digest.update(json.dumps(record).encode())
+                            exits[str(code)] = exits.get(str(code), 0) + 1
+    return {"sha256": digest.hexdigest(), "exits": dict(sorted(exits.items()))}
+
+
+def test_solve_request_path_is_pinned():
+    assert solve_runs(5) == SOLVE_RUNS
 
 
 def test_route_table_matches_benchmark_service():

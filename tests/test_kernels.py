@@ -463,6 +463,35 @@ class TestMaxProfitFlow:
             max_profit_flow([("a", "b", 0, 1, 0), ("b", "a", 0, 1, 0)], "a", "b")
 
 
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: lsap([[1, 2], [3]]), "ragged cost matrix"),
+        (lambda: lsap([[1, -1]]), "negative entries; shift the matrix first"),
+        (lambda: lbap([]), (0, [])),
+        (lambda: lbap([[1], [2]]), "more rows than columns"),
+        (
+            lambda: max_weight_matching(["u"], ["x"], {("u", "y"): 1}),
+            "edge ('u', 'y') off the vertex sets",
+        ),
+        (lambda: bipartite_mwis({"a": -1}, {"b": 1}, []), "negative vertex weights"),
+        (
+            lambda: bipartite_mwis({"a": 1}, {"b": 1}, [("b", "a")]),
+            "edge ('b', 'a') off the vertex sets",
+        ),
+        (lambda: max_profit_flow([("s", "t", 2, 1, 0)], "s", "t"), "capacity below lower bound"),
+    ],
+)
+def test_input_edges(call, expected):
+    """A refusal's exact text (str), or the return value at an edge."""
+    if isinstance(expected, str):
+        with pytest.raises(PreconditionError) as exc:
+            call()
+        assert str(exc.value) == expected
+    else:
+        assert call() == expected
+
+
 def chain_network(rows, exits, groups):
     """The chain network that `kernels.chain_flow` solves, as arcs for
     `max_profit_flow` from "s" to "t": s -> item -> row node -> exit -> t.

@@ -8,7 +8,7 @@ import string
 import pytest
 
 from prefalloc import exact, polyalgos, randgen
-from prefalloc.classify import ROUTE, ROUTES, GraphClass, dispatch
+from prefalloc.classify import ROUTE, ROUTES, GraphClass, dispatch, solve
 from prefalloc.core import PreconditionError, profile, serialize_instance, validate_allocation
 from prefalloc.junction import minsum_few_junctions
 from prefalloc.kernels import lbap
@@ -470,7 +470,7 @@ def test_matches_ilp_at_benchmark_size(reference, route, seed):
     inst = randgen.random_instance(rng, shape, items, agents)
     while dispatch(inst, route.objective).name != route.name:
         inst = randgen.random_instance(rng, shape, items, agents)
-    res = route.solve(inst)
+    res = solve(inst, route.objective, route.name)
     assert validate_allocation(inst, res.witness) == []
     prof = profile(inst, res.witness)
     assert (prof.total if route.objective == "sum" else prof.maximum) == res.value
@@ -481,11 +481,12 @@ def test_matches_ilp_at_benchmark_size(reference, route, seed):
     "route,kind", misfit_cases(POLY_ROUTES), ids=lambda p: getattr(p, "name", p)
 )
 def test_solver_refuses_with_its_route_misfit(route, kind):
-    # The route table states each domain once; the solver's refusal is its text.
+    # The route table states each domain once; the solver's refusal is its
+    # text, which `solve` prefixes with the route's name.
     inst = OUT_OF_DOMAIN[kind]
     with pytest.raises(PreconditionError) as exc:
-        route.solve(inst)
-    assert str(exc.value) == route.misfit(inst)
+        solve(inst, route.objective, route.name)
+    assert str(exc.value) == f"{route.name}: {route.misfit(inst)}"
 
 
 @pytest.mark.parametrize("kind", sorted(OUT_OF_DOMAIN))
