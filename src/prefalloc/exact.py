@@ -16,28 +16,24 @@ vector among optimal allocations).
 the witness: a node is cut only when no completion from it scores below
 the incumbent, so every node on the first optimum's path, whose bound is
 no larger than the optimum and hence below every earlier incumbent,
-survives.  Four bounds cut, and a skip drops twin branches:
+survives.  Three bounds cut, and a skip drops twin branches:
 
 * Suffix-union bound.  From item j on, agent a can at best gain every
   item of the union of its reach masks over items j..n-1 that it does not
   already reach.  Subtracting that from its current dissatisfaction gives
   a lower bound per agent; their sum (or max) bounds the objective, and a
   node whose bound is at least the incumbent is cut.
-* Joint gain bounds.  Beating the incumbent needs the agents together to
+* Joint gain cap.  Beating the incumbent needs the agents together to
   gain more than an allowance A: under sum, A is sum(dissat) - incumbent;
   under max, every agent a must gain max(0, dissat_a - incumbent + 1),
   and A is those needs' sum less 1 (with no cut when no agent needs any
-  gain).  A node is cut when a bound on the total gain of every
-  completion is at most A.  Two such bounds hold, since each item goes
-  to at most one agent.  C(j), the sum over items j..n-1 of the largest
-  reach mask any desiring agent has for the item, is computed once per
-  instance beside the suffix unions.  G(j), the same sum over the
-  marginal gains |reach & ~mask| under the node's masks, is never
-  larger, as a marginal gain only shrinks while its agent's mask grows
-  further down; it costs a pass over the remaining items, so it is tried
-  only when the other cuts fail, and the pass stops once G passes A.
-* Private-bit loss bound.  The gain bounds count what the agents can
-  still win, so they miss what two agents both need.  once[a][j] holds the
+  gain).  Each item goes to at most one agent, so C(j), the sum over
+  items j..n-1 of the largest reach mask any desiring agent has for the
+  item, bounds the total gain of every completion, and a node is cut
+  when C(j) is at most A.  C(j) is computed once per instance beside the
+  suffix unions.
+* Private-bit loss bound.  The gain cap counts what the agents can
+  still win, so it misses what two agents both need.  once[a][j] holds the
   bits of agent a's suffix union that exactly one of items j..n-1 reaches;
   a bit of it outside mask_a is won only if that item goes to a.  Item i
   gives agent a p_ia = |reach_ia & once[a][j] & ~mask_a| such bits, and as
@@ -54,12 +50,7 @@ survives.  Four bounds cut, and a skip drops twin branches:
   max_a p_ia is at least its share of the largest |P_a|.  Without it, two
   opposed 400-item chains, where no loss is forced, took 20 times longer.
   Like the other bounds, it only cuts nodes no completion of which beats
-  the incumbent, so values and witnesses stay as they were.  Under sum the
-  leaf count stays too: G(n-1) is exact, so the older bounds already cut
-  every last-item node below a node this bound cuts, and with it every
-  leaf.  Under max G(n-1) misses two agents that both need the last item,
-  so leaves could fall; on the benchmark's traced requests they do not
-  (the counts are pinned in the tests), and only inner search nodes fall.
+  the incumbent, so values and witnesses stay as they were.
 * Zero-gain skip.  Giving item j to an agent that already reaches all of
   it leaves the search state exactly as in the "nobody" branch, which is
   searched first.  Every leaf of the skipped branch has an equal-valued
@@ -214,22 +205,6 @@ def minimize(inst: Instance, objective: str = "sum") -> OracleResult:
     best_assign: list[int | None] | None = None
     leaves = nodes = 0
 
-    def gain_at_most(j: int, allowance: int) -> bool:
-        # True when G(j), the sum over items j..n-1 of the largest marginal
-        # gain any desiring agent gets from the item under the current
-        # masks, is at most allowance.  Stops as soon as the sum passes it.
-        total = 0
-        for i in range(j, n):
-            best = 0
-            for ai, r in reach[i].items():
-                gain = (r & ~masks[ai]).bit_count()
-                if gain > best:
-                    best = gain
-            total += best
-            if total > allowance:
-                return False
-        return True
-
     def loss_above(j: int, budget: int) -> bool:
         # True when L(j), the bits the agents must lose for certain, exceeds
         # budget.  A bit of once[ai][j] & ~masks[ai] is still needed and only
@@ -257,8 +232,8 @@ def minimize(inst: Instance, objective: str = "sum") -> OracleResult:
         # Agent ai ends with at least base = sizes[ai] - |masks[ai] |
         # suffix[ai][j]| dissatisfaction (dissat[ai] is sizes[ai] -
         # |masks[ai]|).  To beat the incumbent the agents must together gain
-        # more than allowance, and they gain at most cap[j], and at most
-        # G(j); they must also lose no more than budget bits beyond base.
+        # more than allowance, and they gain at most cap[j]; they must also
+        # lose no more than budget bits beyond base.
         if objective == "sum":
             low = 0
             for ai in range(k):
@@ -279,7 +254,7 @@ def minimize(inst: Instance, objective: str = "sum") -> OracleResult:
             if need == 0:
                 return False
             allowance = need - 1
-        return cap[j] <= allowance or gain_at_most(j, allowance) or loss_above(j, budget)
+        return cap[j] <= allowance or loss_above(j, budget)
 
     def dfs(j: int) -> None:
         nonlocal best_value, best_assign, leaves, nodes

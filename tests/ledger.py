@@ -3,12 +3,14 @@
     python tests/ledger.py [TABLE ...]
 
 TABLE is any of corpora, constructions, junction_work, chain_flows, flows,
-oracle and cli (all seven by default).  Each table comes from the helper
-behind its tier-1 pin: corpora digests the benchmark's full seed-1 corpora
-and flows every chain-network flow their requests run, cli digests the
-2,100 in-process `prefalloc solve` runs of `test_cli.solve_runs(5)`, the
-others count work over their first 120 requests, so the output of two
-checkouts can be compared line by line.
+oracle, oracle_digests and cli (all eight by default).  Each table comes
+from the helper behind its tier-1 pin: corpora digests the benchmark's full
+seed-1 corpora and flows every chain-network flow their requests run,
+oracle_digests digests the oracle's value and witness on every seed-1
+oracle-gadgets request under both objectives, cli digests the 2,100
+in-process `prefalloc solve` runs of `test_cli.solve_runs(5)`, the others
+count work over their first 120 requests, so the output of two checkouts
+can be compared line by line.
 """
 
 import json
@@ -35,6 +37,9 @@ TABLES = {
     },
     "oracle": lambda: {
         o: test_exact.oracle_prefix_counts(o) for o in sorted(test_exact.ORACLE_PREFIX_COUNTS)
+    },
+    "oracle_digests": lambda: {
+        o: test_exact.oracle_digest(o) for o in sorted(test_exact.ORACLE_DIGESTS)
     },
     "cli": lambda: test_cli.solve_runs(5),
 }

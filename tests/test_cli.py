@@ -761,6 +761,21 @@ def test_golden_solve_output(objective, table, worked_path, capsys, monkeypatch)
     assert out == GOLDEN[(objective, table)]
 
 
+def test_module_entry_point_prints_the_golden(worked_path):
+    """`python -m prefalloc.cli` exits with `main`'s code and prints its report."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PREFALLOC_ORACLE_LIMIT"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "prefalloc.cli", "solve", worked_path, "--objective", "sum"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == GOLDEN[("sum", False)]
+
+
 # randgen shape that produces every agent graph of a route's class
 RANDGEN_SHAPE = {
     classify.GraphClass.DIRECTED_MATCHING: "matching",

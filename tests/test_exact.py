@@ -1,5 +1,6 @@
 """Exhaustive oracle: optimality, determinism, profile sets, size guard."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -131,21 +132,26 @@ def test_gadget_witness_is_first_optimum_in_scan_order(seed):
 _SCAN_BUDGET = 8192  # leaves scan_first_optimum may enumerate per draw
 
 
-@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("seed", range(48))
 def test_minimize_matches_ordered_scan(seed):
     """Value and witness equal the plain ordered scan's under both objectives.
 
-    Draws cover four graph shapes and two-agent gadgets, where both agents
-    desire every item and the joint gain cap cuts most.
+    Draws cover four graph shapes with 2-4 agents, two-agent gadgets, where
+    both agents desire every item and the joint gain cap cuts most, and
+    (seeds 40 on) unions of out-stars with 5-6 agents, where a covered
+    root's marginal gain falls far below its reach size.
     """
     rng = random.Random(300 + seed)
-    shape = ("dag", "out-tree", "union-out-stars", "path", "gadget")[seed % 5]
+    if seed < 40:
+        shape, agents = ("dag", "out-tree", "union-out-stars", "path", "gadget")[seed % 5], (2, 4)
+    else:
+        shape, agents = "union-out-stars", (5, 6)
     if shape == "gadget":
         inst = _gadget(rng, rng.randint(1, 2))
         objectives = ("sum",)  # max is covered by the gadget test above
     else:
         while True:
-            n, k = rng.randint(4, 9), rng.randint(2, 4)
+            n, k = rng.randint(4, 9), rng.randint(*agents)
             inst = randgen.random_instance(rng, shape, n, k)
             if search_space(inst) <= _SCAN_BUDGET:
                 break
@@ -184,7 +190,10 @@ def test_gadget_leaf_count_regression():
     # unpruned.  Summing reach sizes as the bound visited 12816 of them
     # under max; the suffix-union bound with the zero-gain skip visited 447
     # under max and 1266 under sum, the joint gain cap brought them to
-    # 231 and 648, and the dynamic joint gain bound to 51 and 48.
+    # 231 and 648, and a dynamic joint gain bound to 51 and 48.  The
+    # private-bit loss bound keeps them there without it; the search nodes
+    # went from 346 to 373 under max and from 281 to 392 under sum when it
+    # was dropped.
     formula = reductions.Cnf3Formula(3, ((1, 2, 3), (-1, -2, 3), (1, -2, -3)))
     inst, sum_threshold, threshold = reductions.gen_two_agents_sat(formula)
     res = minimize(inst, "max")
@@ -199,21 +208,27 @@ def test_gadget_leaf_count_regression():
 # 120 requests of the seed-1 oracle-gadgets corpus, the requests the
 # benchmark's traced pass serves.  The corpus asks for max; sum pins the sum
 # budgets' cuts.  Under max the leaves were 20490 under the suffix-union
-# bound, 9438 with the joint gain cap and 3444 with the dynamic joint gain
-# bound; under sum they are 4335.  The private-bit loss bound cut the nodes
-# from 53188 to 21625 under max and from 69223 to 24741 under sum, and left
-# the leaves as they were.
-ORACLE_PREFIX_COUNTS = {"max": (3444, 21625), "sum": (4335, 24741)}
+# bound, 9438 with the joint gain cap and 3444 with a dynamic joint gain
+# bound G(j); under sum they were 4335.  The private-bit loss bound then cut
+# the nodes from 53188 to 21625 under max and from 69223 to 24741 under sum.
+# Dropping G(j), whose pass over the remaining items cost more time than it
+# saved once the loss bound cut, moved them to the counts below.
+ORACLE_PREFIX_COUNTS = {"max": (3453, 23538), "sum": (4335, 27817)}
 
 
-def oracle_prefix_counts(objective: str) -> tuple[int, int]:
-    """(leaves, nodes) over the prefix above; `perfbench` must be importable."""
+def _oracle_corpus() -> list:
+    """The seed-1 oracle-gadgets corpus; `perfbench` must be importable."""
     service = importlib.import_module("service")
     workloads = importlib.import_module("workloads")
     lib = SimpleNamespace(
         **{m: importlib.import_module(f"prefalloc.{m}") for m in service.MODULES}
     )
-    corpus, _ = workloads.build(lib, "oracle-gadgets", 1)
+    return workloads.build(lib, "oracle-gadgets", 1)[0]
+
+
+def oracle_prefix_counts(objective: str) -> tuple[int, int]:
+    """(leaves, nodes) over the prefix above; `perfbench` must be importable."""
+    corpus = _oracle_corpus()
     assert {req.objective for req in corpus[:120]} == {"max"}
     results = [minimize(parse_instance(req.instance), objective) for req in corpus[:120]]
     return sum(r.leaves for r in results), sum(r.nodes for r in results)
@@ -244,6 +259,31 @@ def test_benchmark_oracle_prefix_counts_ignore_the_hash_seed():
         )
         counts = {o: tuple(c) for o, c in json.loads(proc.stdout).items()}
         assert counts == ORACLE_PREFIX_COUNTS, f"PYTHONHASHSEED={seed}"
+
+
+# sha256 of the JSON list of (value, witness) that `minimize` returns on
+# every request of the seed-1 oracle-gadgets corpus (600), each witness
+# written as sorted (agent, sorted bundle) pairs.  A change to the search
+# may move the counts above, never these.
+ORACLE_DIGESTS = {
+    "max": "584c4a5badcbc1883700f245998edc3d5f336f6417e7ba75d22504828836aec6",
+    "sum": "441ad83e6d348c8db8b67f488789ee3be88125976db5d16b8fa3c5d9f025b8a5",
+}
+
+
+def oracle_digest(objective: str) -> str:
+    """The digest above; `perfbench` must be importable."""
+    rows = []
+    for req in _oracle_corpus():
+        res = minimize(parse_instance(req.instance), objective)
+        rows.append((res.value, [(a, sorted(b)) for a, b in sorted(res.witness.pairs)]))
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("objective", ["max", "sum"])
+def test_benchmark_oracle_answers_are_digested(monkeypatch, objective):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    assert oracle_digest(objective) == ORACLE_DIGESTS[objective]
 
 
 def test_loss_bound_cuts_a_shared_chain():
